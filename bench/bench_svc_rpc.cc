@@ -5,8 +5,8 @@
 // from process spawn and connect cost, which is what the EXPERIMENTS.md
 // observability-overhead A/B needs.
 //
-//   bench_svc_rpc [--pings=5000] [--audits=200] [--mode=reactor|threaded]
-//                 [--flight-recorder=on|off] [--profile-hz=0] [--json-out=...]
+//   bench_svc_rpc [--pings=5000] [--audits=200] [--flight-recorder=on|off]
+//                 [--profile-hz=0] [--json-out=...]
 //
 // --profile-hz > 0 runs the whole measurement inside a continuous
 // sampling-profiler session (the `indaas serve --profile-hz` deployment),
@@ -46,14 +46,12 @@ std::string BenchDepDbText() {
 Status Run(int argc, char** argv) {
   int64_t pings = 5000;
   int64_t audits = 200;
-  std::string mode = "reactor";
   std::string flight = "on";
   int64_t profile_hz = 0;
   std::string json_out;
   FlagSet flags;
   flags.AddInt("pings", &pings, "timed Ping round trips");
   flags.AddInt("audits", &audits, "timed structural-audit round trips");
-  flags.AddString("mode", &mode, "server mode to measure: reactor | threaded");
   flags.AddString("flight-recorder", &flight,
                   "on (default) | off: A/B the always-on observability cost");
   flags.AddInt("profile-hz", &profile_hz,
@@ -71,11 +69,6 @@ Status Run(int argc, char** argv) {
 
   svc::AuditServerOptions options;
   options.profile_hz = static_cast<uint32_t>(profile_hz);
-  if (mode == "threaded") {
-    options.mode = svc::ServerMode::kThreadPerRequest;
-  } else if (mode != "reactor") {
-    return InvalidArgumentError("--mode must be reactor or threaded");
-  }
   svc::AuditServer server(options);
   INDAAS_RETURN_IF_ERROR(server.Start());
   INDAAS_ASSIGN_OR_RETURN(svc::AuditClient client,

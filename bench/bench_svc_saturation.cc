@@ -1,16 +1,15 @@
 // Saturation study for the audit service: how many concurrent auditing
-// clients each serving mode sustains, and what pipelining buys on one
+// clients the reactor sustains, and what pipelining buys on one
 // connection. Three phases:
 //
 //   1. Pipelining gain — sequential AuditClient pings vs a MuxAuditClient
 //      keeping a window of pipelined pings in flight on one connection.
-//   2. Sustained concurrency (the headline) — closed-loop clients auditing
-//      at a low per-connection rate (think time between audits, like real
-//      periodic auditors). Thread-per-request holds a pool worker hostage
-//      per connection, so it saturates at worker_threads connections no
-//      matter how idle they are; the reactor multiplexes them all. A mode
-//      "sustains" a connection when that connection keeps completing audits
-//      for the whole run.
+//   2. Sustained concurrency — closed-loop clients auditing at a low
+//      per-connection rate (think time between audits, like real periodic
+//      auditors), once with as many connections as pool workers and once
+//      with --reactor-conns. The reactor multiplexes idle connections, so
+//      pool size does not cap them. The server "sustains" a connection when
+//      that connection keeps completing audits for the whole run.
 //   3. Open-loop Poisson arrivals against the reactor — offered load swept
 //      across rates, recording completion p50/p99, achieved throughput and
 //      shed (kUnavailable) counts as the offered load passes capacity.
@@ -72,7 +71,6 @@ AuditSpecification BenchSpec() {
 }
 
 struct SustainedResult {
-  std::string mode;
   size_t conns = 0;
   size_t progressed = 0;  // connections that completed at least one audit
   size_t sustained = 0;   // connections still completing in the final third
@@ -84,20 +82,14 @@ struct SustainedResult {
 
 // Closed-loop phase: `conns` client threads each audit, then idle for
 // `think_ms` — a fleet of periodic auditors, mostly waiting. Returns what
-// each mode could actually sustain.
-SustainedResult RunSustained(const std::string& mode, svc::ServerMode server_mode,
-                             size_t workers, size_t conns, double duration_s,
-                             int think_ms) {
+// the server could actually sustain.
+SustainedResult RunSustained(size_t workers, size_t conns, double duration_s, int think_ms) {
   svc::AuditServerOptions options;
-  options.mode = server_mode;
   options.worker_threads = workers;
   options.reactor_shards = 2;
-  // Starved connections must fail fast, not hang past the bench window.
-  options.io_timeout_ms = 500;
   options.listen_backlog = static_cast<int>(conns + 16);
   svc::AuditServer server(options);
   SustainedResult result;
-  result.mode = mode;
   result.conns = conns;
   if (Status started = server.Start(); !started.ok()) {
     std::fprintf(stderr, "server start failed: %s\n", started.ToString().c_str());
@@ -128,6 +120,7 @@ SustainedResult RunSustained(const std::string& mode, svc::ServerMode server_mod
   for (size_t c = 0; c < conns; ++c) {
     threads.emplace_back([&, c] {
       svc::AuditClientOptions client_options;
+      // Starved connections must fail fast, not hang past the bench window.
       client_options.io_timeout_ms = 500;
       client_options.retry.max_attempts = 1;
       auto client = svc::AuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()},
@@ -262,8 +255,6 @@ Status Run(int argc, char** argv) {
   int64_t workers = 16;
   int64_t pings = 2000;
   int64_t window = 64;
-  int64_t threaded_conns = 16;
-  int64_t threaded_over_conns = 24;
   int64_t reactor_conns = 160;
   double duration_s = 1.2;
   int64_t think_ms = 200;
@@ -276,10 +267,6 @@ Status Run(int argc, char** argv) {
   flags.AddInt("workers", &workers, "server worker threads in every scenario");
   flags.AddInt("pings", &pings, "round trips in the pipelining A/B");
   flags.AddInt("window", &window, "mux client in-flight window");
-  flags.AddInt("threaded-conns", &threaded_conns,
-               "closed-loop connections at the threaded server's capacity");
-  flags.AddInt("threaded-over-conns", &threaded_over_conns,
-               "closed-loop connections past the threaded server's capacity");
   flags.AddInt("reactor-conns", &reactor_conns, "closed-loop connections at the reactor");
   flags.AddDouble("duration-s", &duration_s, "closed-loop scenario duration");
   flags.AddInt("think-ms", &think_ms, "idle time between a connection's audits");
@@ -367,47 +354,18 @@ Status Run(int argc, char** argv) {
               serial_rps, static_cast<long long>(window), mux_rps,
               serial_rps > 0 ? mux_rps / serial_rps : 0.0);
 
-  // --- Phase 2: sustained concurrent auditors per mode ---
+  // --- Phase 2: sustained concurrent auditors ---
   std::vector<SustainedResult> sustained;
-  sustained.push_back(RunSustained("threaded", svc::ServerMode::kThreadPerRequest,
-                                   static_cast<size_t>(workers),
-                                   static_cast<size_t>(threaded_conns), duration_s,
-                                   static_cast<int>(think_ms)));
-  sustained.push_back(RunSustained("threaded", svc::ServerMode::kThreadPerRequest,
-                                   static_cast<size_t>(workers),
-                                   static_cast<size_t>(threaded_over_conns), duration_s,
-                                   static_cast<int>(think_ms)));
-  sustained.push_back(RunSustained("reactor", svc::ServerMode::kReactor,
-                                   static_cast<size_t>(workers),
-                                   static_cast<size_t>(threaded_conns), duration_s,
-                                   static_cast<int>(think_ms)));
-  sustained.push_back(RunSustained("reactor", svc::ServerMode::kReactor,
-                                   static_cast<size_t>(workers),
-                                   static_cast<size_t>(reactor_conns), duration_s,
-                                   static_cast<int>(think_ms)));
-  for (const SustainedResult& r : sustained) {
+  for (int64_t conns : {workers, reactor_conns}) {
+    sustained.push_back(RunSustained(static_cast<size_t>(workers), static_cast<size_t>(conns),
+                                     duration_s, static_cast<int>(think_ms)));
+    const SustainedResult& r = sustained.back();
     std::printf(
-        "%-8s conns=%-4zu progressed=%-4zu sustained=%-4zu audits=%-6llu errors=%-5llu "
+        "reactor conns=%-4zu progressed=%-4zu sustained=%-4zu audits=%-6llu errors=%-5llu "
         "p50=%.2fms p99=%.2fms\n",
-        r.mode.c_str(), r.conns, r.progressed, r.sustained,
-        static_cast<unsigned long long>(r.completed),
+        r.conns, r.progressed, r.sustained, static_cast<unsigned long long>(r.completed),
         static_cast<unsigned long long>(r.errors), r.p50_ms, r.p99_ms);
   }
-  // The headline ratio: reactor's sustained connections over the best the
-  // threaded mode managed. The like-for-like p99 comparison is the reactor
-  // run at the threaded server's own connection count.
-  const SustainedResult& threaded_best =
-      sustained[0].sustained >= sustained[1].sustained ? sustained[0] : sustained[1];
-  const SustainedResult& reactor_matched = sustained[2];
-  const SustainedResult& reactor = sustained[3];
-  const double ratio =
-      threaded_best.sustained > 0
-          ? static_cast<double>(reactor.sustained) / threaded_best.sustained
-          : 0.0;
-  std::printf("summary: reactor sustains %zu vs threaded %zu concurrent auditors "
-              "(%.1fx); matched-load p99 %.2fms vs %.2fms\n",
-              reactor.sustained, threaded_best.sustained, ratio, reactor_matched.p99_ms,
-              threaded_best.p99_ms);
 
   // --- Phase 3: open-loop Poisson sweep at the reactor ---
   std::vector<OpenLoopResult> open_loop;
@@ -478,20 +436,14 @@ Status Run(int argc, char** argv) {
     for (size_t i = 0; i < sustained.size(); ++i) {
       const SustainedResult& r = sustained[i];
       doc += StrFormat(
-          "    {\"mode\": \"%s\", \"conns\": %zu, \"progressed\": %zu, \"sustained\": %zu, "
+          "    {\"conns\": %zu, \"progressed\": %zu, \"sustained\": %zu, "
           "\"completed\": %llu, \"errors\": %llu, \"p50_ms\": %.3f, \"p99_ms\": %.3f}%s\n",
-          r.mode.c_str(), r.conns, r.progressed, r.sustained,
+          r.conns, r.progressed, r.sustained,
           static_cast<unsigned long long>(r.completed),
           static_cast<unsigned long long>(r.errors), r.p50_ms, r.p99_ms,
           i + 1 < sustained.size() ? "," : "");
     }
     doc += "  ],\n";
-    doc += StrFormat(
-        "  \"summary\": {\"threaded_sustained\": %zu, \"reactor_sustained\": %zu, "
-        "\"ratio\": %.2f, \"threaded_p99_ms\": %.3f, \"reactor_matched_p99_ms\": %.3f, "
-        "\"reactor_p99_ms\": %.3f},\n",
-        threaded_best.sustained, reactor.sustained, ratio, threaded_best.p99_ms,
-        reactor_matched.p99_ms, reactor.p99_ms);
     doc += "  \"open_loop\": [\n";
     for (size_t i = 0; i < open_loop.size(); ++i) {
       const OpenLoopResult& r = open_loop[i];

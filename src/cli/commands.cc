@@ -35,7 +35,6 @@
 #include "src/topology/fat_tree.h"
 #include "src/util/file.h"
 #include "src/util/flags.h"
-#include "src/util/logging.h"
 #include "src/util/strings.h"
 
 namespace indaas {
@@ -642,9 +641,8 @@ Status RunDebugCommand(int argc, char** argv) {
   INDAAS_ASSIGN_OR_RETURN(svc::AuditClient client, svc::AuditClient::Connect(endpoint));
   INDAAS_ASSIGN_OR_RETURN(svc::DebugInfo info, client.GetDebugInfo());
 
-  std::printf("%s: up %.1f s, mode=%s, %llu in flight\n", endpoint.ToString().c_str(),
+  std::printf("%s: up %.1f s, %llu in flight\n", endpoint.ToString().c_str(),
               static_cast<double>(info.uptime_us) / 1e6,
-              info.mode == 0 ? "reactor" : "threaded",
               static_cast<unsigned long long>(info.inflight_global));
   if (!info.shards.empty()) {
     std::printf("shards (%zu):\n", info.shards.size());
@@ -845,8 +843,6 @@ void HandleServeSignal(int) { g_serve_interrupted.store(true); }
 Status RunServeCommand(int argc, char** argv) {
   int64_t port = 7341;
   int64_t threads = 4;
-  int64_t io_timeout_ms = 10000;
-  std::string mode = "reactor";
   int64_t reactor_shards = 2;
   int64_t max_inflight = 256;
   int64_t max_inflight_per_conn = 64;
@@ -862,16 +858,14 @@ Status RunServeCommand(int argc, char** argv) {
   FlagSet flags;
   flags.AddInt("port", &port, "TCP port to listen on (0 picks a free port)");
   flags.AddInt("threads", &threads, "worker threads serving requests");
-  flags.AddInt("io-timeout-ms", &io_timeout_ms, "per-request read/write timeout");
-  flags.AddString("mode", &mode, "serving mode: reactor (epoll, pipelining) or threaded");
-  flags.AddInt("reactor-shards", &reactor_shards, "epoll reactor shards (reactor mode)");
+  flags.AddInt("reactor-shards", &reactor_shards, "epoll reactor shards");
   flags.AddInt("max-inflight", &max_inflight,
                "global in-flight request cap before shedding with UNAVAILABLE");
   flags.AddInt("max-inflight-per-conn", &max_inflight_per_conn,
                "per-connection in-flight request cap (pipelining window)");
   flags.AddInt("backlog", &backlog, "listen(2) backlog for every listener");
   flags.AddInt("read-deadline-ms", &read_deadline_ms,
-               "drop connections stalled mid-frame for this long (reactor mode)");
+               "drop connections stalled mid-frame for this long");
   flags.AddInt("slow-rpc-ms", &slow_rpc_ms,
                "RPCs slower than this keep their stage breakdown for `indaas debug`"
                " (0 = sheds/errors only)");
@@ -895,9 +889,6 @@ Status RunServeCommand(int argc, char** argv) {
     return InvalidArgumentError(StrFormat("--port=%lld is not a TCP port",
                                           static_cast<long long>(port)));
   }
-  if (mode != "reactor" && mode != "threaded") {
-    return InvalidArgumentError("--mode must be 'reactor' or 'threaded'");
-  }
   if (admission != "adaptive" && admission != "fixed") {
     return InvalidArgumentError("--admission must be 'adaptive' or 'fixed'");
   }
@@ -912,9 +903,6 @@ Status RunServeCommand(int argc, char** argv) {
   svc::AuditServerOptions options;
   options.port = static_cast<uint16_t>(port);
   options.worker_threads = static_cast<size_t>(std::max<int64_t>(1, threads));
-  options.io_timeout_ms = static_cast<int>(io_timeout_ms);
-  options.mode = mode == "threaded" ? svc::ServerMode::kThreadPerRequest
-                                    : svc::ServerMode::kReactor;
   options.reactor_shards = static_cast<size_t>(std::max<int64_t>(1, reactor_shards));
   options.max_inflight_global = static_cast<size_t>(std::max<int64_t>(1, max_inflight));
   options.max_inflight_per_connection =
@@ -960,15 +948,10 @@ Status RunServeCommand(int argc, char** argv) {
 
   BeginObs(obs_out);
   INDAAS_RETURN_IF_ERROR(server.Start());
-  if (options.mode == svc::ServerMode::kReactor) {
-    std::printf(
-        "indaas audit server listening on port %u (%zu reactor shards, %zu workers); "
-        "Ctrl-C to stop\n",
-        server.port(), server.reactor_shards(), options.worker_threads);
-  } else {
-    std::printf("indaas audit server listening on port %u (%zu workers); Ctrl-C to stop\n",
-                server.port(), options.worker_threads);
-  }
+  std::printf(
+      "indaas audit server listening on port %u (%zu reactor shards, %zu workers); "
+      "Ctrl-C to stop\n",
+      server.port(), server.reactor_shards(), options.worker_threads);
   std::fflush(stdout);
   g_serve_interrupted.store(false);
   std::signal(SIGINT, HandleServeSignal);
@@ -1005,14 +988,15 @@ int RunCli(int argc, char** argv) {
       }
     } else if (StartsWith(arg, "--log-level=")) {
       std::string_view value = arg.substr(12);
+      obs::Logger& logger = obs::Logger::Global();
       if (value == "debug") {
-        SetLogLevel(LogLevel::kDebug);
+        logger.SetMinSeverity(obs::LogSeverity::kDebug);
       } else if (value == "info") {
-        SetLogLevel(LogLevel::kInfo);
+        logger.SetMinSeverity(obs::LogSeverity::kInfo);
       } else if (value == "warning") {
-        SetLogLevel(LogLevel::kWarning);
+        logger.SetMinSeverity(obs::LogSeverity::kWarn);
       } else if (value == "error") {
-        SetLogLevel(LogLevel::kError);
+        logger.SetMinSeverity(obs::LogSeverity::kError);
       } else {
         std::fprintf(stderr, "bad --log-level '%s' (debug | info | warning | error)\n",
                      std::string(value).c_str());
@@ -1056,7 +1040,7 @@ int RunCli(int argc, char** argv) {
                  "--format=dump|collapsed|collapsed-alloc|chrome])\n"
                  "  trace-merge merge per-process --trace-out files into one Chrome trace\n"
                  "audit, pia and serve accept --metrics-out=<file> and --trace-out=<file>\n"
-                 "networked: serve --port=P [--mode=reactor|threaded --reactor-shards=N\n"
+                 "networked: serve --port=P [--reactor-shards=N\n"
                  "  --max-inflight=N --max-inflight-per-conn=N --backlog=N "
                  "--read-deadline-ms=MS --slow-rpc-ms=MS --flight-dump=FILE\n"
                  "  --admission=adaptive|fixed --target-queue-delay-ms=MS];\n"

@@ -139,41 +139,37 @@ void FlightRecorder::Record(FlightEventType type, uint64_t a, uint64_t b, uint16
   if (!enabled_.load(std::memory_order_relaxed)) return;
   Ring* ring = ThreadRing();
   if (ring == nullptr) return;
-  // Single writer per ring (the owning thread), so head needs no RMW.
-  const uint64_t seq = ring->head.load(std::memory_order_relaxed);
-  Slot& slot = ring->slots[seq % kRingCapacity];
-  slot.t_us.store(TraceNowMicros(), std::memory_order_relaxed);
-  slot.trace_id.store(trace_id, std::memory_order_relaxed);
-  slot.a.store(a, std::memory_order_relaxed);
-  slot.b.store(b, std::memory_order_relaxed);
-  const uint64_t meta = (static_cast<uint64_t>(TraceThreadId()) << 32) |
-                        (static_cast<uint64_t>(type) << 16) | code;
-  slot.meta.store(meta, std::memory_order_relaxed);
-  ring->head.store(seq + 1, std::memory_order_release);
+  ring->events.Append([&](Slot& slot) {
+    slot.t_us.store(TraceNowMicros(), std::memory_order_relaxed);
+    slot.trace_id.store(trace_id, std::memory_order_relaxed);
+    slot.a.store(a, std::memory_order_relaxed);
+    slot.b.store(b, std::memory_order_relaxed);
+    const uint64_t meta = (static_cast<uint64_t>(TraceThreadId()) << 32) |
+                          (static_cast<uint64_t>(type) << 16) | code;
+    slot.meta.store(meta, std::memory_order_relaxed);
+  });
 }
 
-void FlightRecorder::CopyRing(const Ring& ring, std::vector<FlightEvent>* out) {
-  const uint64_t head = ring.head.load(std::memory_order_acquire);
-  const uint64_t begin = head > kRingCapacity ? head - kRingCapacity : 0;
-  for (uint64_t seq = begin; seq < head; ++seq) {
-    const Slot& slot = ring.slots[seq % kRingCapacity];
-    FlightEvent event;
-    event.t_us = slot.t_us.load(std::memory_order_relaxed);
-    event.trace_id = slot.trace_id.load(std::memory_order_relaxed);
-    event.a = slot.a.load(std::memory_order_relaxed);
-    event.b = slot.b.load(std::memory_order_relaxed);
-    const uint64_t meta = slot.meta.load(std::memory_order_relaxed);
-    // Revalidate: once head reaches seq + kRingCapacity the writer has
-    // started (not necessarily finished — head publishes after the slot
-    // stores) overwriting this slot, so the copy may be mixed. >= and not
-    // >: at head == seq + kRingCapacity the overwrite is already in flight.
-    if (ring.head.load(std::memory_order_acquire) >= seq + kRingCapacity) continue;
-    if (meta == 0) continue;
-    event.tid = static_cast<uint32_t>(meta >> 32);
-    event.type = static_cast<FlightEventType>((meta >> 16) & 0xffff);
-    event.code = static_cast<uint16_t>(meta & 0xffff);
-    out->push_back(event);
-  }
+template <typename Emit>
+void FlightRecorder::ReadRing(const Ring& ring, Emit&& emit) {
+  ring.events.ReadFrom(
+      0,
+      [](const Slot& slot) {
+        FlightEvent event;
+        event.t_us = slot.t_us.load(std::memory_order_relaxed);
+        event.trace_id = slot.trace_id.load(std::memory_order_relaxed);
+        event.a = slot.a.load(std::memory_order_relaxed);
+        event.b = slot.b.load(std::memory_order_relaxed);
+        const uint64_t meta = slot.meta.load(std::memory_order_relaxed);
+        event.tid = static_cast<uint32_t>(meta >> 32);
+        event.type = static_cast<FlightEventType>((meta >> 16) & 0xffff);
+        event.code = static_cast<uint16_t>(meta & 0xffff);
+        return event;
+      },
+      [&](const FlightEvent& event) {
+        // kNone marks a never-written slot; Record is never passed it.
+        if (event.type != FlightEventType::kNone) emit(event);
+      });
 }
 
 std::vector<FlightEvent> FlightRecorder::Snapshot() const {
@@ -181,7 +177,7 @@ std::vector<FlightEvent> FlightRecorder::Snapshot() const {
   for (size_t i = 0; i < kMaxRings; ++i) {
     const Ring* ring = rings_[i].load(std::memory_order_acquire);
     if (ring == nullptr) break;  // rings are filled left to right
-    CopyRing(*ring, &out);
+    ReadRing(*ring, [&](const FlightEvent& event) { out.push_back(event); });
   }
   std::stable_sort(out.begin(), out.end(),
                    [](const FlightEvent& x, const FlightEvent& y) { return x.t_us < y.t_us; });
@@ -204,23 +200,9 @@ void FlightRecorder::DumpToFd(int fd) const {
   for (size_t i = 0; i < kMaxRings; ++i) {
     const Ring* ring = rings_[i].load(std::memory_order_acquire);
     if (ring == nullptr) break;
-    const uint64_t head = ring->head.load(std::memory_order_acquire);
-    const uint64_t begin = head > kRingCapacity ? head - kRingCapacity : 0;
-    for (uint64_t seq = begin; seq < head; ++seq) {
-      const Slot& slot = ring->slots[seq % kRingCapacity];
-      FlightEvent event;
-      event.t_us = slot.t_us.load(std::memory_order_relaxed);
-      event.trace_id = slot.trace_id.load(std::memory_order_relaxed);
-      event.a = slot.a.load(std::memory_order_relaxed);
-      event.b = slot.b.load(std::memory_order_relaxed);
-      const uint64_t meta = slot.meta.load(std::memory_order_relaxed);
-      if (ring->head.load(std::memory_order_acquire) > seq + kRingCapacity) continue;
-      if (meta == 0) continue;
-      event.tid = static_cast<uint32_t>(meta >> 32);
-      event.type = static_cast<FlightEventType>((meta >> 16) & 0xffff);
-      event.code = static_cast<uint16_t>(meta & 0xffff);
+    ReadRing(*ring, [&](const FlightEvent& event) {
       WriteAll(fd, line, FormatEventLine(event, line));
-    }
+    });
   }
   WriteAll(fd, line, FormatEventLine(DumpMarkerEvent(), line));
 }

@@ -9,16 +9,14 @@
 // what makes it safe to leave on in production and cheap enough to sit on
 // the reactor's hot path (the ≤3% bench_svc_rpc budget in EXPERIMENTS.md).
 //
-// Concurrency model: each ring slot is five std::atomic<uint64_t> words.
-// A writer bumps a reservation counter (relaxed fetch_add picks a slot),
-// stores the words relaxed, then publishes via a release store to the
-// ring's `head`. Readers (Snapshot, DumpToFd) acquire `head`, copy slots,
-// and drop any slot whose sequence shows it was overwritten mid-copy —
-// a dump taken during a write storm loses a few events at the overwrite
-// frontier, never sees torn memory flagged by TSan. Rings are registered
-// in a fixed array of atomic pointers so a signal handler can walk every
-// thread's ring without taking the registry lock; rings of exited threads
-// park on a free list and are re-used by new threads.
+// Concurrency model: each thread's ring is a SeqlockRing
+// (src/obs/seqlock_ring.h) of five-word slots. Record() is the ring's
+// single writer; readers (Snapshot, DumpText, DumpToFd) share one read
+// path and drop any slot the writer lapped mid-copy — a dump taken during
+// a write storm loses a few events at the overwrite frontier, never sees
+// torn memory. Rings are registered in a fixed array of atomic pointers so
+// a signal handler can walk every thread's ring without taking the
+// registry lock; rings of exited threads are re-used by new threads.
 //
 // Dumps: DumpText() for tooling/RPCs, DumpToFd() for signal context
 // (write(2) + a local integer formatter, no allocation, no stdio), and
@@ -44,6 +42,8 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "src/obs/seqlock_ring.h"
 
 namespace indaas {
 namespace obs {
@@ -115,8 +115,6 @@ class FlightRecorder {
   static size_t ParseDumpText(std::string_view text, std::vector<FlightEvent>* out);
 
  private:
-  friend class FlightRecorderTestPeer;
-
   struct Slot {
     std::atomic<uint64_t> t_us{0};
     std::atomic<uint64_t> trace_id{0};
@@ -127,10 +125,7 @@ class FlightRecorder {
   };
 
   struct Ring {
-    std::array<Slot, kRingCapacity> slots;
-    // Next sequence number to write; slot index = seq % kRingCapacity.
-    // Published with release so readers who acquire it see the slot words.
-    std::atomic<uint64_t> head{0};
+    SeqlockRing<Slot, kRingCapacity> events;
     // Claimed by a live thread. Cleared (release) at thread exit so a later
     // thread can adopt the ring instead of leaking one per thread ever made.
     std::atomic<bool> in_use{false};
@@ -145,7 +140,10 @@ class FlightRecorder {
   FlightRecorder() = default;
   Ring* ThreadRing();
   Ring* AcquireRing();
-  static void CopyRing(const Ring& ring, std::vector<FlightEvent>* out);
+  // Calls `emit(const FlightEvent&)` for each surviving event of `ring`,
+  // oldest first. Async-signal-safe as long as `emit` is.
+  template <typename Emit>
+  static void ReadRing(const Ring& ring, Emit&& emit);
 
   std::atomic<bool> enabled_{true};
   std::array<std::atomic<Ring*>, kMaxRings> rings_{};

@@ -20,6 +20,7 @@
 
 #include "src/obs/metrics.h"
 #include "src/obs/propagate.h"
+#include "src/obs/seqlock_ring.h"
 #include "src/obs/trace.h"
 
 // Older glibc exposes the SIGEV_THREAD_ID target tid only through the
@@ -110,15 +111,14 @@ struct SampleSlot {
   std::array<std::atomic<uint64_t>, Profiler::kMaxFrames> pcs{};
 };
 
-// Single-writer sample ring (flight-recorder concurrency model). The CPU
-// ring's writer is the owning thread's SIGPROF handler; the alloc ring's
-// writer is the owning thread in normal context — the handler may interrupt
-// an alloc-ring write, which is exactly why the two collectors never share
-// a ring. `tail` is the drainer's read cursor; only the drainer (under the
+// Single-writer sample ring (src/obs/seqlock_ring.h). The CPU ring's
+// writer is the owning thread's SIGPROF handler; the alloc ring's writer is
+// the owning thread in normal context — the handler may interrupt an
+// alloc-ring write, which is exactly why the two collectors never share a
+// ring. `tail` is the drainer's read cursor; only the drainer (under the
 // profiler mutex) touches it.
 struct Profiler::Ring {
-  std::array<SampleSlot, kRingCapacity> slots;
-  std::atomic<uint64_t> head{0};
+  SeqlockRing<SampleSlot, kRingCapacity> samples;
   uint64_t tail = 0;
 };
 
@@ -147,24 +147,22 @@ namespace {
 
 thread_local Profiler::ThreadState* g_tls_state = nullptr;
 
-// Appends one sample to `ring`. Single writer per ring: head needs no RMW.
-// Async-signal-safe: relaxed word stores plus one release publish.
+// Appends one sample to `ring`. Async-signal-safe (SeqlockRing::Append).
 void WriteSample(Profiler::Ring* ring, const uintptr_t* frames, size_t depth,
                  uint64_t weight, bool truncated, bool alloc, uint64_t trace_id,
                  uint32_t tid) {
-  const uint64_t seq = ring->head.load(std::memory_order_relaxed);
-  SampleSlot& slot = ring->slots[seq % Profiler::kRingCapacity];
-  slot.t_us.store(TraceNowMicros(), std::memory_order_relaxed);
-  slot.trace_id.store(trace_id, std::memory_order_relaxed);
-  slot.weight.store(weight, std::memory_order_relaxed);
-  for (size_t i = 0; i < depth; ++i) {
-    slot.pcs[i].store(frames[i], std::memory_order_relaxed);
-  }
-  const uint64_t meta = (static_cast<uint64_t>(tid) << 32) |
-                        (truncated ? 1ull << 17 : 0) | (alloc ? 1ull << 16 : 0) |
-                        (depth & 0xffff);
-  slot.meta.store(meta, std::memory_order_relaxed);
-  ring->head.store(seq + 1, std::memory_order_release);
+  ring->samples.Append([&](SampleSlot& slot) {
+    slot.t_us.store(TraceNowMicros(), std::memory_order_relaxed);
+    slot.trace_id.store(trace_id, std::memory_order_relaxed);
+    slot.weight.store(weight, std::memory_order_relaxed);
+    for (size_t i = 0; i < depth; ++i) {
+      slot.pcs[i].store(frames[i], std::memory_order_relaxed);
+    }
+    const uint64_t meta = (static_cast<uint64_t>(tid) << 32) |
+                          (truncated ? 1ull << 17 : 0) | (alloc ? 1ull << 16 : 0) |
+                          (depth & 0xffff);
+    slot.meta.store(meta, std::memory_order_relaxed);
+  });
 }
 
 // The SIGPROF handler. Everything here follows the signal-safety rules in
@@ -294,8 +292,8 @@ void Profiler::RegisterCurrentThread() {
     state->cpu_clockid = CLOCK_THREAD_CPUTIME_ID;
   }
   // Discard anything a previous owner left unread.
-  state->cpu_ring->tail = state->cpu_ring->head.load(std::memory_order_acquire);
-  state->alloc_ring->tail = state->alloc_ring->head.load(std::memory_order_acquire);
+  state->cpu_ring->tail = state->cpu_ring->samples.head();
+  state->alloc_ring->tail = state->alloc_ring->samples.head();
   state->alloc_budget.store(
       static_cast<int64_t>(g_alloc_interval.load(std::memory_order_relaxed)),
       std::memory_order_relaxed);
@@ -355,8 +353,8 @@ Status Profiler::Start(const ProfileOptions& options) {
     ThreadState* state = threads_[i].load(std::memory_order_acquire);
     if (state == nullptr) break;
     // Discard samples from before this session.
-    state->cpu_ring->tail = state->cpu_ring->head.load(std::memory_order_acquire);
-    state->alloc_ring->tail = state->alloc_ring->head.load(std::memory_order_acquire);
+    state->cpu_ring->tail = state->cpu_ring->samples.head();
+    state->alloc_ring->tail = state->alloc_ring->samples.head();
     state->alloc_budget.store(static_cast<int64_t>(options.alloc_interval_bytes),
                               std::memory_order_relaxed);
     if (state->in_use.load(std::memory_order_acquire)) ArmTimerLocked(state);
@@ -479,43 +477,31 @@ size_t Profiler::DrainOnce() {
     ThreadState* state = threads_[t].load(std::memory_order_acquire);
     if (state == nullptr) break;
     for (Ring* ring : {state->cpu_ring, state->alloc_ring}) {
-      const uint64_t head = ring->head.load(std::memory_order_acquire);
-      uint64_t tail = ring->tail;
-      if (head - tail > kRingCapacity) {
-        dropped_now += head - kRingCapacity - tail;
-        tail = head - kRingCapacity;
-      }
-      for (uint64_t seq = tail; seq < head; ++seq) {
-        const SampleSlot& slot = ring->slots[seq % kRingCapacity];
-        ProfileSample sample;
-        sample.t_us = slot.t_us.load(std::memory_order_relaxed);
-        sample.trace_id = slot.trace_id.load(std::memory_order_relaxed);
-        sample.weight = slot.weight.load(std::memory_order_relaxed);
-        const uint64_t meta = slot.meta.load(std::memory_order_relaxed);
-        const size_t depth = std::min<size_t>(meta & 0xffff, kMaxFrames);
-        sample.frames.resize(depth);
-        for (size_t i = 0; i < depth; ++i) {
-          sample.frames[i] =
-              static_cast<uintptr_t>(slot.pcs[i].load(std::memory_order_relaxed));
-        }
-        // Revalidate: once head reaches seq + kRingCapacity the writer has
-        // started (not necessarily finished — head publishes after the slot
-        // stores) overwriting this slot, so the copy may be torn. >= and
-        // not >: at head == seq + kRingCapacity the overwrite is already
-        // in flight.
-        if (ring->head.load(std::memory_order_acquire) >= seq + kRingCapacity) {
-          ++dropped_now;
-          continue;
-        }
-        if (meta == 0 || depth == 0) continue;
-        sample.tid = static_cast<uint32_t>(meta >> 32);
-        sample.truncated = (meta & (1ull << 17)) != 0;
-        sample.alloc = (meta & (1ull << 16)) != 0;
-        if (sample.truncated) ++truncated_now;
-        AppendLocked(sample);
-        ++moved;
-      }
-      ring->tail = head;
+      ring->tail = ring->samples.ReadFrom(
+          ring->tail,
+          [](const SampleSlot& slot) {
+            ProfileSample sample;
+            sample.t_us = slot.t_us.load(std::memory_order_relaxed);
+            sample.trace_id = slot.trace_id.load(std::memory_order_relaxed);
+            sample.weight = slot.weight.load(std::memory_order_relaxed);
+            const uint64_t meta = slot.meta.load(std::memory_order_relaxed);
+            sample.frames.resize(std::min<size_t>(meta & 0xffff, kMaxFrames));
+            for (size_t i = 0; i < sample.frames.size(); ++i) {
+              sample.frames[i] =
+                  static_cast<uintptr_t>(slot.pcs[i].load(std::memory_order_relaxed));
+            }
+            sample.tid = static_cast<uint32_t>(meta >> 32);
+            sample.truncated = (meta & (1ull << 17)) != 0;
+            sample.alloc = (meta & (1ull << 16)) != 0;
+            return sample;
+          },
+          [&](const ProfileSample& sample) {
+            if (sample.frames.empty()) return;  // never-written slot
+            if (sample.truncated) ++truncated_now;
+            AppendLocked(sample);
+            ++moved;
+          },
+          &dropped_now);
     }
   }
   if (options_.continuous) {

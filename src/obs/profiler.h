@@ -23,9 +23,10 @@
 //   - per-thread state reached through one thread_local pointer that the
 //     thread itself published at registration (local-exec TLS, no lazy init
 //     in signal context);
-//   - samples land in per-thread seqlock rings cloned from the flight
-//     recorder (src/obs/flight_recorder.h): relaxed word stores, one release
-//     store to `head`, readers drop slots the writer lapped mid-copy;
+//   - samples land in per-thread SeqlockRings (src/obs/seqlock_ring.h),
+//     the flight recorder's ring: relaxed word stores between a release
+//     fence and a release store to `head`, readers drop slots the writer
+//     lapped mid-copy;
 //   - frame-pointer walks validate every dereference against the thread's
 //     stack bounds captured at registration, so a corrupt or foreign frame
 //     chain terminates the walk instead of faulting.

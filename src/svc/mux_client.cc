@@ -11,7 +11,6 @@
 #include "src/obs/log.h"
 #include "src/obs/metrics.h"
 #include "src/obs/propagate.h"
-#include "src/util/logging.h"
 #include "src/util/strings.h"
 #include "src/util/timer.h"
 

@@ -14,7 +14,6 @@
 #include "src/obs/trace.h"
 #include "src/sketch/sketch.h"
 #include "src/svc/proto.h"
-#include "src/util/logging.h"
 #include "src/util/strings.h"
 
 namespace indaas {

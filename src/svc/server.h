@@ -2,27 +2,21 @@
 //
 // AuditServer listens on a TCP port and serves the INDaaS RPCs defined in
 // src/svc/proto.h: DepDB imports, structural (SIA) audits and private (PIA)
-// audits. Two serving modes share one RPC surface:
+// audits.
 //
-//   kReactor (default) — N reactor shards, each an epoll EventLoop thread
-//   (src/net/event_loop.h) owning its own SO_REUSEPORT listener (fallback:
-//   one acceptor round-robining connections across shards). Connections are
-//   non-blocking state machines: reads accumulate into a parse buffer,
-//   complete frames dispatch, replies append to a bounded write buffer
-//   flushed as the socket drains. Requests carrying a request-id extension
-//   may pipeline — several in flight per connection, replies completed out
-//   of order, each echoing its request id. CPU-bound RPCs (imports, audits)
-//   run on the shared ThreadPool so loops never block; trivial RPCs (ping,
-//   health) answer inline on the loop. Admission control sheds load with
-//   kUnavailable once per-connection or global in-flight caps are hit, and
-//   slow readers whose write buffer exceeds its cap are dropped, so one
-//   stalled client can never pin server memory.
-//
-//   kThreadPerRequest — the pre-reactor baseline: one accept thread hands
-//   each connection to the ThreadPool, which serves it serially for the
-//   connection's lifetime. At most worker_threads connections make progress
-//   concurrently. Kept for A/B measurement (bench_svc_saturation) and as a
-//   reference implementation.
+// The server runs N reactor shards, each an epoll EventLoop thread
+// (src/net/event_loop.h) owning its own SO_REUSEPORT listener (fallback:
+// one acceptor round-robining connections across shards). Connections are
+// non-blocking state machines: reads accumulate into a parse buffer,
+// complete frames dispatch, replies append to a bounded write buffer
+// flushed as the socket drains. Requests carrying a request-id extension
+// may pipeline — several in flight per connection, replies completed out
+// of order, each echoing its request id. CPU-bound RPCs (imports, audits)
+// run on the shared ThreadPool so loops never block; trivial RPCs (ping,
+// health) answer inline on the loop. Admission control sheds load with
+// kUnavailable once per-connection or global in-flight caps are hit, and
+// slow readers whose write buffer exceeds its cap are dropped, so one
+// stalled client can never pin server memory.
 //
 // The DepDB behind the agent is guarded by a reader/writer lock: imports
 // are exclusive, audits run shared, so concurrent clients never observe a
@@ -46,11 +40,9 @@
 #include <atomic>
 #include <memory>
 #include <shared_mutex>
-#include <thread>
 
 #include "src/agent/agent.h"
 #include "src/net/frame.h"
-#include "src/net/socket.h"
 #include "src/obs/flight_recorder.h"
 #include "src/util/thread_pool.h"
 
@@ -59,20 +51,11 @@ namespace svc {
 
 struct DebugInfo;  // src/svc/proto.h
 
-enum class ServerMode {
-  kReactor,           // epoll shards, pipelining, admission control
-  kThreadPerRequest,  // baseline: one pool task per connection
-};
-
 struct AuditServerOptions {
   uint16_t port = 0;        // 0 = pick any free port (see AuditServer::port())
   size_t worker_threads = 4;
-  int io_timeout_ms = 10000;  // per read/write once a request is in flight
   net::FrameLimits limits;
 
-  ServerMode mode = ServerMode::kReactor;
-
-  // Reactor knobs (ignored in kThreadPerRequest mode).
   size_t reactor_shards = 2;  // epoll loops; clamped to at least 1
   // A connection sitting on a partial frame longer than this is dropped.
   // Idle connections *between* frames are never timed out (keep-alive).
@@ -93,7 +76,7 @@ struct AuditServerOptions {
   bool adaptive_admission = false;
   double target_queue_delay_s = 0.005;
 
-  // Listen backlog for every listener (both modes).
+  // Listen backlog for every listener.
   int listen_backlog = 128;
 
   // Tail sampler (obs::TailSampler): finished RPCs slower than this — plus
@@ -136,9 +119,9 @@ class AuditServer {
   // The bound port (valid after Start(); resolves port 0 to the real one).
   uint16_t port() const { return port_; }
 
-  // The number of reactor shards actually running (0 in thread-per-request
-  // mode; may be less than requested if SO_REUSEPORT was unavailable — the
-  // shards still run, fed by one acceptor).
+  // The number of reactor shards actually running (0 before Start(); may
+  // be less than requested if SO_REUSEPORT was unavailable — the shards
+  // still run, fed by one acceptor).
   size_t reactor_shards() const;
 
   // Health as reported to kHealth. Start() sets serving; Stop() clears it
@@ -152,31 +135,25 @@ class AuditServer {
   struct Reactor;  // defined in server.cc; owns shards, loops and conns
   friend struct Reactor;
 
-  Status StartThreaded();
-  Status StartReactor();
-  void AcceptLoop();
-  void ServeConnection(std::shared_ptr<net::Socket> socket);
   // Dispatches one decoded request; returns the reply frame (type+payload).
   // When `stages` is non-null the handler attributes its decode/compute/
   // encode time there (obs::RpcStage decomposition; read/queue/write are
   // measured by the transport that called us).
   void HandleRequest(uint8_t type, const std::string& payload, uint8_t* reply_type,
                      std::string* reply_payload, obs::RpcStageSeconds* stages = nullptr);
-  // The mode-independent part of a kGetDebugInfo answer: uptime, mode,
-  // recent flight-recorder events, slowest tail-sampled RPCs. The reactor
-  // adds per-shard/per-connection detail via its cross-shard gather.
+  // The shard-independent part of a kGetDebugInfo answer: uptime, recent
+  // flight-recorder events, slowest tail-sampled RPCs. The reactor adds
+  // per-shard/per-connection detail via its cross-shard gather.
   void FillDebugCommon(DebugInfo* info);
 
   AuditServerOptions options_;
   AuditingAgent agent_;
   std::shared_mutex agent_mu_;  // imports exclusive, audits shared
-  net::Socket listener_;
   uint16_t port_ = 0;
   std::atomic<bool> running_{false};
   std::atomic<bool> serving_{false};
   std::atomic<uint64_t> start_us_{0};  // trace-epoch micros at Start()
   std::atomic<uint64_t> next_conn_id_{0};  // debug identity for connections
-  std::thread accept_thread_;
   std::unique_ptr<ThreadPool> workers_;
   std::unique_ptr<Reactor> reactor_;
   bool owns_profiler_session_ = false;  // Start() armed the continuous session

@@ -188,19 +188,15 @@ TEST(FaultPlanTest, SameSeedSameOperationsSameFaultSchedule) {
   EXPECT_FALSE(first.empty());
 }
 
-// --- Fault class x server mode x audit RPC ---
+// --- Fault class x audit RPC ---
 
-class ChaosRpcMatrix
-    : public ::testing::TestWithParam<std::tuple<const char*, ServerMode>> {};
+class ChaosRpcMatrix : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(ChaosRpcMatrix, AuditRpcEndsInResultOrTypedError) {
-  const std::string fault = std::get<0>(GetParam());
-  const ServerMode mode = std::get<1>(GetParam());
+  const std::string fault = GetParam();
 
   AuditServerOptions options;
-  options.mode = mode;
   options.worker_threads = 2;
-  options.io_timeout_ms = 1000;
   options.read_deadline_ms = 1000;
   AuditServer server(options);
   ASSERT_TRUE(server.agent().depdb().ImportText(TestDepDbText()).ok());
@@ -260,15 +256,10 @@ TEST_P(ChaosRpcMatrix, AuditRpcEndsInResultOrTypedError) {
   server.Stop();
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllFaultsBothModes, ChaosRpcMatrix,
-    ::testing::Combine(::testing::ValuesIn(kFaultClasses),
-                       ::testing::Values(ServerMode::kReactor,
-                                         ServerMode::kThreadPerRequest)),
-    [](const ::testing::TestParamInfo<ChaosRpcMatrix::ParamType>& info) {
-      return std::string(std::get<0>(info.param)) +
-             (std::get<1>(info.param) == ServerMode::kReactor ? "_reactor" : "_threaded");
-    });
+INSTANTIATE_TEST_SUITE_P(AllFaults, ChaosRpcMatrix, ::testing::ValuesIn(kFaultClasses),
+                         [](const ::testing::TestParamInfo<const char*>& info) {
+                           return std::string(info.param);
+                         });
 
 // --- Fault class x degraded-capable rings ---
 

@@ -6,11 +6,13 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cctype>
 #include <cstdio>
 #include <map>
 #include <set>
+#include <tuple>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -22,10 +24,10 @@
 #include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
 #include "src/obs/propagate.h"
+#include "src/obs/seqlock_ring.h"
 #include "src/obs/trace.h"
 #include "src/obs/trace_merge.h"
 #include "src/util/file.h"
-#include "src/util/logging.h"
 
 namespace indaas {
 namespace obs {
@@ -958,17 +960,6 @@ TEST(LogTest, RateLimiterAdmitsBudgetPerWindowAndCountsSuppressed) {
   EXPECT_EQ(never.TakeSuppressed(), 1u);
 }
 
-TEST(LogTest, LegacyStreamLoggingRoutesThroughStructuredLogger) {
-  CapturedLogs capture;
-  INDAAS_LOG(Warning) << "legacy " << 42;
-  std::vector<LogRecord> records = capture.Take();
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].severity, LogSeverity::kWarn);
-  ASSERT_EQ(records[0].fields.size(), 1u);
-  EXPECT_EQ(records[0].fields[0].key, "msg");
-  EXPECT_EQ(records[0].fields[0].value, "legacy 42");
-}
-
 // --- Flight recorder ---
 
 TEST(FlightRecorderTest, RecordedEventsAppearInSnapshotInOrder) {
@@ -1096,6 +1087,109 @@ TEST(FlightRecorderTest, Sigusr2DumpsToFileAndRoundTrips) {
   EXPECT_TRUE(found_marker);
   EXPECT_TRUE(found_dump_event);  // the dump marks its own trigger point
   std::remove(path.c_str());
+}
+
+TEST(FlightRecorderTest, DumpToFdAndDumpTextEmitTheSameEvents) {
+  FlightRecorder& recorder = FlightRecorder::Global();
+  recorder.Record(FlightEventType::kShed, 0xD0D0D0D0u, 7, 2, 31);
+  recorder.Record(FlightEventType::kConnClose, 0xD0D0D0D1u, 0, 0, 0);
+  // The ring is quiescent from here on: both dumps see the same entries.
+  const std::string text = recorder.DumpText();
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  std::string piped;
+  // A full dump can exceed the pipe buffer, so drain it concurrently.
+  std::thread drain([&piped, fd = fds[0]] {
+    char buf[4096];
+    ssize_t n;
+    while ((n = ::read(fd, buf, sizeof(buf))) > 0) piped.append(buf, static_cast<size_t>(n));
+  });
+  recorder.DumpToFd(fds[1]);
+  ::close(fds[1]);
+  drain.join();
+  ::close(fds[0]);
+
+  auto parse = [](const std::string& dump) {
+    std::vector<FlightEvent> events;
+    FlightRecorder::ParseDumpText(dump, &events);
+    std::vector<std::tuple<uint64_t, uint32_t, uint16_t, uint16_t, uint64_t, uint64_t, uint64_t>>
+        keys;
+    for (const FlightEvent& e : events) {
+      if (e.type == FlightEventType::kDump) continue;  // each dump stamps its own marker
+      keys.emplace_back(e.t_us, e.tid, static_cast<uint16_t>(e.type), e.code, e.a, e.b,
+                        e.trace_id);
+    }
+    std::sort(keys.begin(), keys.end());  // DumpToFd keeps per-ring order
+    return keys;
+  };
+  const auto from_text = parse(text);
+  EXPECT_GE(from_text.size(), 2u);
+  EXPECT_EQ(parse(piped), from_text);
+}
+
+// --- Seqlock ring ---
+
+struct TestSlot {
+  std::atomic<uint64_t> value{0};
+};
+
+constexpr size_t kTestRingCapacity = 4;
+using TestRing = SeqlockRing<TestSlot, kTestRingCapacity>;
+
+void AppendValue(TestRing& ring, uint64_t value) {
+  ring.Append([value](TestSlot& slot) { slot.value.store(value, std::memory_order_relaxed); });
+}
+
+// Reads entry 0 of a one-entry ring while the copy callback appends until
+// head == `lap_to`: a deterministic stand-in for a writer racing the reader.
+std::vector<uint64_t> ReadWhileAppendingTo(uint64_t lap_to, uint64_t* lost) {
+  TestRing ring;
+  AppendValue(ring, 100);
+  std::vector<uint64_t> emitted;
+  const uint64_t next = ring.ReadFrom(
+      0,
+      [&ring, lap_to](const TestSlot& slot) {
+        const uint64_t value = slot.value.load(std::memory_order_relaxed);
+        while (ring.head() < lap_to) AppendValue(ring, 200 + ring.head());
+        return value;
+      },
+      [&emitted](uint64_t value) { emitted.push_back(value); }, lost);
+  EXPECT_EQ(next, 1u);  // the cursor is the head seen when the read began
+  EXPECT_EQ(ring.head(), lap_to);
+  return emitted;
+}
+
+TEST(SeqlockRingTest, CopyLappedExactlyAtCapacityIsRejected) {
+  // head == seq + kCapacity means the writer may already be storing the
+  // overwrite of this slot, so the copy must not be trusted.
+  uint64_t lost = 0;
+  EXPECT_TRUE(ReadWhileAppendingTo(kTestRingCapacity, &lost).empty());
+  EXPECT_EQ(lost, 1u);
+  // One append fewer and the copy survives.
+  lost = 0;
+  EXPECT_EQ(ReadWhileAppendingTo(kTestRingCapacity - 1, &lost),
+            std::vector<uint64_t>{100});
+  EXPECT_EQ(lost, 0u);
+}
+
+TEST(SeqlockRingTest, ResumedReadCountsEntriesOverwrittenSinceTheCursor) {
+  TestRing ring;
+  for (uint64_t v = 0; v < 10; ++v) AppendValue(ring, v);
+  std::vector<uint64_t> emitted;
+  uint64_t lost = 0;
+  const auto copy = [](const TestSlot& slot) {
+    return slot.value.load(std::memory_order_relaxed);
+  };
+  const auto emit = [&emitted](uint64_t value) { emitted.push_back(value); };
+  EXPECT_EQ(ring.ReadFrom(2, copy, emit, &lost), 10u);
+  // Entries 2..5 were overwritten before the read. Entry 6 is still in its
+  // slot, but with head == 6 + kCapacity it is the next one a writer would
+  // overwrite, so its copy is rejected too.
+  EXPECT_EQ(emitted, (std::vector<uint64_t>{7, 8, 9}));
+  EXPECT_EQ(lost, 5u);
+  emitted.clear();
+  EXPECT_EQ(ring.ReadFrom(10, copy, emit, &lost), 10u);
+  EXPECT_TRUE(emitted.empty());
 }
 
 // --- Tail sampler ---

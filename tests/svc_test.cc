@@ -741,25 +741,6 @@ TEST(AuditServerTest, TracePropagatesClientToServer) {
 
 // --- Reactor mode, pipelining, and admission control ---
 
-TEST(AuditServerTest, ThreadedModeStillServes) {
-  // The pre-reactor baseline stays a first-class mode (bench_svc_saturation
-  // A/Bs against it), so it gets the same end-to-end coverage.
-  AuditServerOptions options;
-  options.mode = ServerMode::kThreadPerRequest;
-  options.worker_threads = 2;
-  AuditServer server(options);
-  ASSERT_TRUE(server.Start().ok());
-  EXPECT_EQ(server.reactor_shards(), 0u);
-  auto client = AuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()});
-  ASSERT_TRUE(client.ok()) << client.status().ToString();
-  EXPECT_TRUE(client->Ping().ok());
-  ASSERT_TRUE(client->ImportDepDb(TestDepDbText()).ok());
-  auto report = client->AuditStructural(TestSpec());
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report->deployments.size(), 2u);
-  server.Stop();
-}
-
 // The reactor finalizes an RPC (tail-sampler offer included) right after its
 // reply bytes reach the kernel, so a client can observe the reply a beat
 // before the sample lands. Poll briefly instead of asserting instantly.
@@ -830,7 +811,7 @@ TEST(AuditServerTest, GetDebugInfoReactorEndToEnd) {
   ASSERT_TRUE(client->Ping().ok());
   auto info = client->GetDebugInfo();
   ASSERT_TRUE(info.ok()) << info.status().ToString();
-  EXPECT_EQ(info->mode, static_cast<uint8_t>(ServerMode::kReactor));
+  EXPECT_EQ(info->mode, 0u);  // legacy wire byte, always 0
   EXPECT_EQ(info->reactor_shards, 2u);
   EXPECT_GT(info->uptime_us, 0u);
   ASSERT_EQ(info->shards.size(), 2u);  // one entry per shard, gathered live
@@ -845,28 +826,6 @@ TEST(AuditServerTest, GetDebugInfoReactorEndToEnd) {
   for (const auto& shard : info->shards) shard_connections += shard.connections;
   EXPECT_EQ(shard_connections, info->connections.size());
   EXPECT_FALSE(info->events.empty()) << "flight recorder should have accept/rpc events";
-  server.Stop();
-}
-
-TEST(AuditServerTest, GetDebugInfoThreadedMode) {
-  AuditServerOptions options;
-  options.mode = ServerMode::kThreadPerRequest;
-  options.worker_threads = 2;
-  AuditServer server(options);
-  ASSERT_TRUE(server.Start().ok());
-  auto client = AuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()});
-  ASSERT_TRUE(client.ok());
-  ASSERT_TRUE(client->Ping().ok());
-  auto info = client->GetDebugInfo();
-  ASSERT_TRUE(info.ok()) << info.status().ToString();
-  EXPECT_EQ(info->mode, static_cast<uint8_t>(ServerMode::kThreadPerRequest));
-  EXPECT_EQ(info->reactor_shards, 0u);
-  // Per-shard / per-connection detail is a reactor feature; the threaded
-  // baseline still answers with uptime, events, and tail samples.
-  EXPECT_TRUE(info->shards.empty());
-  EXPECT_TRUE(info->connections.empty());
-  EXPECT_GT(info->uptime_us, 0u);
-  EXPECT_FALSE(info->events.empty());
   server.Stop();
 }
 

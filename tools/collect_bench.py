@@ -221,12 +221,11 @@ def collect_svc_saturation(build, workdir):
         },
     }
     for run in doc["sustained"]:
-        name = f"svc_saturation/{run['mode']}_c{run['conns']}"
+        name = f"svc_saturation/reactor_c{run['conns']}"
         snapshot[name] = {
             "p50_seconds": run["p50_ms"] / 1e3,
             "bytes": 0,
             "config": {
-                "mode": run["mode"],
                 "conns": run["conns"],
                 "sustained": run["sustained"],
                 "completed": run["completed"],
