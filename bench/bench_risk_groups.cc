@@ -185,7 +185,7 @@ int main(int argc, char** argv) {
   flags.AddInt("reps", &reps, "repetitions per engine per case");
   flags.AddInt("servers", &servers, "redundant servers in the fat-tree deployment");
   flags.AddInt("paths", &paths, "ECMP paths modeled per server");
-  flags.AddInt("threads", &threads, "bitset engine worker threads (0 = hardware)");
+  flags.AddInt("threads", &threads, "1 = sequential bitset engine, else the shared compute pool");
   flags.AddInt("dag-basics", &dag_basics, "basic events in the random DAG case");
   flags.AddInt("dag-gates", &dag_gates, "gates in the random DAG case");
   flags.AddString("json-out", &json_out, "machine-readable results file ('' = skip)");

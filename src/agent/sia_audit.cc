@@ -126,8 +126,7 @@ Result<SiaAuditReport> RunSiaAudit(const DepDb& db, const AuditSpecification& sp
   const size_t count = spec.candidate_deployments.size();
   std::vector<Result<DeploymentAudit>> results(count, Status(StatusCode::kInternal, "not run"));
   if (spec.parallel_deployments > 1 && count > 1) {
-    ThreadPool pool(std::min(spec.parallel_deployments, count));
-    pool.ParallelFor(count, [&](size_t i) {
+    ComputePool().ParallelFor(count, [&](size_t i) {
       results[i] = audit_one(spec.candidate_deployments[i]);
     });
   } else {

@@ -44,7 +44,8 @@ struct AuditSpecification {
   uint64_t seed = 1;
   size_t threads = 1;
   // Audit candidate deployments concurrently (deployments are independent;
-  // results keep specification order). 1 = sequential.
+  // results keep specification order). 1 = sequential; any larger value
+  // fans the audits out on the shared ComputePool() (util/thread_pool.h).
   size_t parallel_deployments = 1;
   // How many top RGs feed the independence score (0 = all).
   size_t score_top_n = 0;

@@ -216,7 +216,7 @@ Status RunAuditCommand(int argc, char** argv) {
   flags.AddString("cvss", &cvss_path, "optional CVSS feed file for software probabilities");
   flags.AddInt("rounds", &rounds, "sampling rounds");
   flags.AddInt("seed", &seed, "sampling seed");
-  flags.AddInt("parallel", &parallel, "audit this many deployments concurrently");
+  flags.AddInt("parallel", &parallel, "audit deployments concurrently on the compute pool if > 1");
   ObsOutputs obs_out;
   AddObsFlags(flags, obs_out);
   INDAAS_RETURN_IF_ERROR(flags.Parse(argc, argv));
@@ -426,7 +426,8 @@ Status RunPiaCommand(int argc, char** argv) {
                "shared session seed (socket key material and sketch permutations)");
   flags.AddInt("group-bits", &group_bits, "commutative group bits");
   flags.AddInt("max-redundancy", &max_redundancy, "largest deployment size to rank");
-  flags.AddInt("parallel", &parallel, "run this many protocol instances concurrently");
+  flags.AddInt("parallel", &parallel,
+               "run protocol instances concurrently on the compute pool if > 1");
   ObsOutputs obs_out;
   AddObsFlags(flags, obs_out);
   INDAAS_RETURN_IF_ERROR(flags.Parse(argc, argv));

@@ -129,8 +129,7 @@ Result<PiaAuditReport> RunPiaAudit(const std::vector<CloudProvider>& providers,
       }
     };
     if (options.parallel_deployments > 1 && combos.size() > 1) {
-      ThreadPool pool(std::min(options.parallel_deployments, combos.size()));
-      pool.ParallelFor(combos.size(), run_one);
+      ComputePool().ParallelFor(combos.size(), run_one);
     } else {
       for (size_t c = 0; c < combos.size(); ++c) {
         run_one(c);

@@ -45,7 +45,8 @@ struct PiaAuditOptions {
   uint32_t min_redundancy = 2;  // smallest deployment size to evaluate
   uint32_t max_redundancy = 3;  // largest deployment size to evaluate
   // Evaluate candidate deployments concurrently (each deployment's protocol
-  // run is independent). 1 = sequential.
+  // run is independent). 1 = sequential; any larger value fans the runs out
+  // on the shared ComputePool() (util/thread_pool.h).
   size_t parallel_deployments = 1;
 };
 

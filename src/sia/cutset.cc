@@ -1,10 +1,10 @@
 #include "src/sia/cutset.h"
 
 #include <algorithm>
-#include <atomic>
 #include <unordered_map>
 
 #include "src/obs/metrics.h"
+#include "src/util/thread_pool.h"
 
 namespace indaas {
 
@@ -25,7 +25,7 @@ constexpr size_t kParallelAbsorbWork = 1 << 15;
 
 }  // namespace
 
-CutSetArena AbsorbMinimal(const CutSetArena& sets, ThreadPool* pool) {
+CutSetArena AbsorbMinimal(const CutSetArena& sets, bool parallel) {
   const size_t n = sets.size();
   const size_t stride = sets.stride();
   CutSetArena out(stride);
@@ -33,20 +33,24 @@ CutSetArena AbsorbMinimal(const CutSetArena& sets, ThreadPool* pool) {
     return out;
   }
 
-  // Popcount + fingerprint per row, then a stable popcount-ascending order so
-  // rows keep first-appearance order within a level.
+  // Popcount + fingerprint per row, then a counting sort by popcount (keys
+  // are at most stride*64) into popcount-ascending order. Filling each
+  // level in input order keeps rows in first-appearance order within it.
   std::vector<uint32_t> pc(n);
   std::vector<uint64_t> fp(n);
+  std::vector<size_t> level_start(stride * 64 + 2, 0);
   for (size_t i = 0; i < n; ++i) {
     pc[i] = static_cast<uint32_t>(RowPopcount(sets.row(i), stride));
     fp[i] = RowFingerprint(sets.row(i), stride);
+    ++level_start[pc[i] + 1];
+  }
+  for (size_t level = 1; level < level_start.size(); ++level) {
+    level_start[level] += level_start[level - 1];
   }
   std::vector<size_t> order(n);
   for (size_t i = 0; i < n; ++i) {
-    order[i] = i;
+    order[level_start[pc[i]]++] = i;
   }
-  std::stable_sort(order.begin(), order.end(),
-                   [&](size_t a, size_t b) { return pc[a] < pc[b]; });
 
   // Hash-based exact-duplicate elimination (equal rows share a fingerprint;
   // full word compare disambiguates collisions). Small inputs skip the hash
@@ -112,10 +116,10 @@ CutSetArena AbsorbMinimal(const CutSetArena& sets, ThreadPool* pool) {
       }
     };
     const size_t work = level_size * kept.size() * stride;
-    if (pool != nullptr && pool->num_threads() > 1 && work >= kParallelAbsorbWork) {
+    if (parallel && work >= kParallelAbsorbWork) {
       const size_t grain =
           std::max<size_t>(1, kParallelAbsorbWork / std::max<size_t>(1, kept.size() * stride));
-      pool->ParallelForChunked(level_size, grain, test_range);
+      ComputePool().ParallelForChunked(level_size, grain, test_range);
     } else {
       test_range(0, level_size);
     }

@@ -15,9 +15,11 @@
 // duplicates are hashed out, a row can only be absorbed by a *strictly
 // smaller* row, so rows are processed level by level (popcount ascending)
 // and each level is tested — optionally in parallel shards — against the
-// frozen set of smaller survivors. The surviving set is unique, and rows are
-// emitted in (popcount, first-appearance) order, so results are
-// byte-identical no matter how many threads participate.
+// frozen set of smaller survivors. A counting sort by popcount orders the
+// rows: keys are at most stride*64, so it is stable and O(n). The surviving
+// set is unique, and rows are emitted in (popcount, first-appearance)
+// order, so results are byte-identical no matter how many threads
+// participate.
 
 #ifndef SRC_SIA_CUTSET_H_
 #define SRC_SIA_CUTSET_H_
@@ -27,7 +29,6 @@
 #include <vector>
 
 #include "src/graph/fault_graph.h"
-#include "src/util/thread_pool.h"
 
 namespace indaas {
 
@@ -156,11 +157,11 @@ class CutSetArena {
 // Returns `sets` reduced to its unique minimal rows: exact duplicates are
 // hash-eliminated, then any row that is a proper superset of another row is
 // dropped (bucket-by-popcount, smaller buckets absorb larger ones). Rows are
-// emitted in (popcount ascending, first-appearance) order. When `pool` is
-// non-null and a popcount level has enough candidate×survivor work, the
-// subset tests for that level run as parallel shards; the output is
-// byte-identical to the sequential path for any thread count.
-CutSetArena AbsorbMinimal(const CutSetArena& sets, ThreadPool* pool);
+// emitted in (popcount ascending, first-appearance) order. When `parallel`
+// is set and a popcount level has enough candidate×survivor work, the
+// subset tests for that level run as shards on the shared ComputePool();
+// the output is byte-identical to the sequential path.
+CutSetArena AbsorbMinimal(const CutSetArena& sets, bool parallel);
 
 }  // namespace indaas
 

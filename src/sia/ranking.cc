@@ -110,8 +110,7 @@ double TopEventProbabilityMonteCarlo(const FaultGraph& graph, double default_pro
     }
   }
   std::vector<size_t> shard_failures(threads, 0);
-  ThreadPool pool(threads);
-  pool.ParallelFor(threads, [&](size_t s) {
+  ComputePool().ParallelFor(threads, [&](size_t s) {
     Rng rng(shard_seeds[s]);
     std::vector<uint8_t> state(graph.NodeCount(), 0);
     const auto& basics = graph.BasicEvents();

@@ -51,9 +51,9 @@ struct ProbabilityRankingOptions {
   size_t bdd_node_budget = 2000000;
   size_t monte_carlo_rounds = 200000;
   uint64_t seed = 1;
-  // Worker threads for the Monte-Carlo fallback (0 = hardware concurrency).
-  // Rounds are sharded with per-shard Rng streams derived from `seed`, so
-  // results are deterministic for a fixed thread count.
+  // Monte-Carlo shards (0 = one per hardware thread). Rounds are sharded
+  // with per-shard Rng streams derived from `seed`, so results are
+  // deterministic for a fixed shard count; shards run on ComputePool().
   size_t threads = 0;
 };
 
@@ -78,10 +78,10 @@ double TopEventProbabilityExact(const FaultGraph& graph, const std::vector<RiskG
 double TopEventProbabilityMonteCarlo(const FaultGraph& graph, double default_prob, size_t rounds,
                                      Rng& rng);
 
-// Parallel variant: shards `rounds` across `threads` workers (0 = hardware
-// concurrency), each with its own Rng stream derived from `seed`. The result
-// is deterministic for a fixed thread count; a single thread reproduces the
-// serial Rng overload exactly.
+// Parallel variant: shards `rounds` into `threads` shards (0 = one per
+// hardware thread), each with its own Rng stream derived from `seed`, run on
+// the shared ComputePool(). The result is deterministic for a fixed shard
+// count; a single shard reproduces the serial Rng overload exactly.
 double TopEventProbabilityMonteCarlo(const FaultGraph& graph, double default_prob, size_t rounds,
                                      uint64_t seed, size_t threads);
 

@@ -1,9 +1,6 @@
 #include "src/sia/risk_groups.h"
 
 #include <algorithm>
-#include <atomic>
-#include <memory>
-#include <thread>
 
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -232,50 +229,28 @@ Result<MinimalRgResult> ComputeMinimalRiskGroupsVector(const FaultGraph& graph,
 // ===========================================================================
 // Bitset engine (RgEngine::kBitset): fixed-stride uint64_t rows over the
 // basic events (src/sia/cutset.h), arena storage, hash dedup +
-// bucket-by-popcount absorption, and thread-pool sharding of large AND
-// products and absorption levels. Byte-identical results to the vector
-// engine: the surviving minimal set is unique, shards merge in chunk order,
-// and the public RiskGroup form is canonically sorted at the API boundary.
+// bucket-by-popcount absorption, and sharding of large AND products and
+// absorption levels on the shared ComputePool(). Byte-identical results to
+// the vector engine: the surviving minimal set is unique, shards merge in
+// chunk order, and the public RiskGroup form is canonically sorted at the
+// API boundary.
 // ===========================================================================
 
 // Products per shard of a parallel AND-product sweep. Fixed (never derived
 // from the worker count) so shard boundaries — and thus the merged row
 // order — are identical for every thread count.
 constexpr size_t kProductGrain = 1024;
-// A product sweep must be at least this large before the pool is engaged.
+// A product sweep must be at least this large before the pool is engaged;
+// with kParallelAbsorbWork (cutset.cc) it is the only gate, so small audits
+// never touch — or start — the pool.
 constexpr size_t kMinParallelProducts = 4096;
-
-// Spins up the shared worker pool only once a stage actually has enough work
-// to amortize thread creation; small graphs never pay for it.
-class LazyPool {
- public:
-  explicit LazyPool(size_t threads)
-      : threads_(threads != 0 ? threads
-                              : std::max<size_t>(1, std::thread::hardware_concurrency())) {}
-
-  // nullptr when the engine is configured (or defaulted) to one thread.
-  ThreadPool* Get() {
-    if (threads_ <= 1) {
-      return nullptr;
-    }
-    if (pool_ == nullptr) {
-      pool_ = std::make_unique<ThreadPool>(threads_);
-    }
-    return pool_.get();
-  }
-
- private:
-  size_t threads_;
-  std::unique_ptr<ThreadPool> pool_;
-};
 
 // Cartesian AND product over bitset rows; same budget / size-bound semantics
 // as the vector CombineAnd. Flat product index t maps to (t / |rhs|,
 // t % |rhs|), so the sequential append order and the shard-merged order are
 // the same sequence.
 Status CombineAndBitset(const CutSetArena& lhs, const CutSetArena& rhs,
-                        const MinimalRgOptions& options, CutSetArena* out, bool* pruned,
-                        LazyPool& lazy_pool) {
+                        const MinimalRgOptions& options, CutSetArena* out, bool* pruned) {
   const size_t stride = lhs.stride();
   out->Clear();
   if (lhs.size() * rhs.size() > 0 &&
@@ -299,8 +274,7 @@ Status CombineAndBitset(const CutSetArena& lhs, const CutSetArena& rhs,
       }
     }
   };
-  ThreadPool* pool = total >= kMinParallelProducts ? lazy_pool.Get() : nullptr;
-  if (pool == nullptr) {
+  if (options.threads == 1 || total < kMinParallelProducts) {
     out->Reserve(total);
     bool local_pruned = false;
     emit_range(*out, local_pruned, 0, total);
@@ -311,7 +285,7 @@ Status CombineAndBitset(const CutSetArena& lhs, const CutSetArena& rhs,
     const size_t chunks = (total + kProductGrain - 1) / kProductGrain;
     std::vector<CutSetArena> parts(chunks, CutSetArena(stride));
     std::vector<uint8_t> part_pruned(chunks, 0);
-    pool->ParallelForChunked(total, kProductGrain, [&](size_t begin, size_t end) {
+    ComputePool().ParallelForChunked(total, kProductGrain, [&](size_t begin, size_t end) {
       const size_t chunk = begin / kProductGrain;
       parts[chunk].Reserve(end - begin);
       bool chunk_pruned = false;
@@ -340,7 +314,7 @@ Result<MinimalRgResult> ComputeMinimalRiskGroupsBitset(const FaultGraph& graph,
   MinimalRgResult result;
   EventIndex index(graph);
   const size_t stride = index.stride();
-  LazyPool lazy_pool(options.threads);
+  const bool parallel = options.threads != 1;
   std::vector<CutSetArena> cut_sets(graph.NodeCount(), CutSetArena(stride));
   for (NodeId id : graph.TopologicalOrder()) {
     const FaultNode& node = graph.node(id);
@@ -362,7 +336,7 @@ Result<MinimalRgResult> ComputeMinimalRiskGroupsBitset(const FaultGraph& graph,
           mine.AppendAll(cut_sets[child]);
         }
         if (options.inline_absorption) {
-          mine = AbsorbMinimal(mine, lazy_pool.Get());
+          mine = AbsorbMinimal(mine, parallel);
         }
         break;
       }
@@ -375,9 +349,9 @@ Result<MinimalRgResult> ComputeMinimalRiskGroupsBitset(const FaultGraph& graph,
           } else {
             CutSetArena next(stride);
             INDAAS_RETURN_IF_ERROR(CombineAndBitset(mine, cut_sets[child], options, &next,
-                                                    &result.size_bounded, lazy_pool));
+                                                    &result.size_bounded));
             if (options.inline_absorption) {
-              next = AbsorbMinimal(next, lazy_pool.Get());
+              next = AbsorbMinimal(next, parallel);
             }
             mine = std::move(next);
           }
@@ -405,10 +379,9 @@ Result<MinimalRgResult> ComputeMinimalRiskGroupsBitset(const FaultGraph& graph,
           for (uint32_t i = 1; i < k && !product.empty(); ++i) {
             CutSetArena next(stride);
             INDAAS_RETURN_IF_ERROR(CombineAndBitset(product, cut_sets[node.children[pick[i]]],
-                                                    options, &next, &result.size_bounded,
-                                                    lazy_pool));
+                                                    options, &next, &result.size_bounded));
             if (options.inline_absorption) {
-              next = AbsorbMinimal(next, lazy_pool.Get());
+              next = AbsorbMinimal(next, parallel);
             }
             product = std::move(next);
           }
@@ -426,7 +399,7 @@ Result<MinimalRgResult> ComputeMinimalRiskGroupsBitset(const FaultGraph& graph,
             pick[i] = pick[i - 1] + 1;
           }
         }
-        mine = options.inline_absorption ? AbsorbMinimal(acc, lazy_pool.Get()) : std::move(acc);
+        mine = options.inline_absorption ? AbsorbMinimal(acc, parallel) : std::move(acc);
         break;
       }
     }
@@ -449,7 +422,7 @@ Result<MinimalRgResult> ComputeMinimalRiskGroupsBitset(const FaultGraph& graph,
       }
     }
   }
-  CutSetArena minimal = AbsorbMinimal(cut_sets[graph.top_event()], lazy_pool.Get());
+  CutSetArena minimal = AbsorbMinimal(cut_sets[graph.top_event()], parallel);
   result.groups.reserve(minimal.size());
   for (size_t i = 0; i < minimal.size(); ++i) {
     const uint64_t* row = minimal.row(i);
@@ -501,7 +474,7 @@ std::vector<RiskGroup> MinimizeRiskGroups(std::vector<RiskGroup> groups) {
       row[bit / 64] |= 1ULL << (bit % 64);
     }
   }
-  CutSetArena minimal = AbsorbMinimal(arena, nullptr);
+  CutSetArena minimal = AbsorbMinimal(arena, /*parallel=*/false);
   std::vector<RiskGroup> out;
   out.reserve(minimal.size());
   for (size_t i = 0; i < minimal.size(); ++i) {

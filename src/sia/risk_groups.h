@@ -34,8 +34,8 @@ std::vector<RiskGroup> MinimizeRiskGroups(std::vector<RiskGroup> groups);
 // legacy vector engine is retained as the parity baseline and perf yardstick.
 enum class RgEngine : uint8_t {
   // Fixed-stride uint64_t bitsets over the basic events, arena-allocated,
-  // with hash dedup, bucket-by-popcount absorption, and optional thread-pool
-  // sharding of AND products and absorption passes (DESIGN.md §5).
+  // with hash dedup, bucket-by-popcount absorption, and optional sharding of
+  // AND products and absorption passes on the shared pool (DESIGN.md §5).
   kBitset,
   // Sorted std::vector<NodeId> per cut set, std::set_union products,
   // pairwise std::includes absorption; single-threaded.
@@ -55,10 +55,10 @@ struct MinimalRgOptions {
   // only at the end. Usually a large win; ablatable (DESIGN.md §4).
   bool inline_absorption = true;
   RgEngine engine = RgEngine::kBitset;
-  // Worker threads for the bitset engine's AND-product / absorption sharding
-  // (0 = hardware concurrency, 1 = fully sequential). Output is byte-
-  // identical for every thread count; the pool is only spun up once a stage
-  // has enough work to amortize it.
+  // 1 = fully sequential. Any other value lets the bitset engine shard AND
+  // products and absorption levels on the shared ComputePool()
+  // (util/thread_pool.h), but only for stages past a work threshold; small
+  // graphs never touch the pool. Output is byte-identical either way.
   size_t threads = 0;
 };
 

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <set>
-#include <thread>
 
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/util/rng.h"
+#include "src/util/thread_pool.h"
 
 namespace indaas {
 namespace {
@@ -118,16 +118,11 @@ Result<SamplingResult> SampleRiskGroups(const FaultGraph& graph, const SamplingO
   if (threads == 1) {
     samplers[0].Run(options.rounds);
   } else {
-    std::vector<std::thread> workers;
-    size_t per_thread = options.rounds / threads;
-    size_t remainder = options.rounds % threads;
-    for (size_t t = 0; t < threads; ++t) {
-      size_t rounds = per_thread + (t < remainder ? 1 : 0);
-      workers.emplace_back([&samplers, t, rounds] { samplers[t].Run(rounds); });
-    }
-    for (auto& worker : workers) {
-      worker.join();
-    }
+    const size_t per_shard = options.rounds / threads;
+    const size_t remainder = options.rounds % threads;
+    ComputePool().ParallelFor(threads, [&](size_t t) {
+      samplers[t].Run(per_shard + (t < remainder ? 1 : 0));
+    });
   }
   SamplingResult result;
   std::vector<RiskGroup> all;

@@ -34,7 +34,8 @@ struct SamplingOptions {
   double bias_scale = 1.0;
   ShrinkMode shrink = ShrinkMode::kNone;
   uint64_t seed = 1;
-  // Worker threads (rounds are split across threads; results merged).
+  // Shards, each with its own Rng stream (rounds are split across shards,
+  // which run on the shared ComputePool(); results merged).
   size_t threads = 1;
   // Stop early after this many *distinct* RGs (SIZE_MAX = never).
   size_t max_distinct_groups = SIZE_MAX;

@@ -28,6 +28,10 @@ constexpr size_t kMaxDegradedRing = 32;
 // answering and deadline checks stay responsive.
 constexpr int kAcceptSliceMs = 200;
 
+// While a prober waits for an ack it alternates slices of this length
+// between the probe connection and its own listener.
+constexpr int kProbeSliceMs = 10;
+
 // Assembles the full on-wire bytes of one frame (header [+ extensions]
 // + payload) for the pump, which needs the whole message up front to
 // interleave sends with receives.
@@ -545,6 +549,8 @@ Result<std::vector<uint32_t>> PiaPeer::ProbeSurvivors(const PiaPeerOptions& opti
                                                       PendingHello* pending) {
   const size_t k = options.peers.size();
   const uint32_t self = static_cast<uint32_t>(options.self_index);
+  // A peer counts as alive once it acks our probe or probes us for this
+  // same attempt: either proves it is running this reformation.
   std::vector<bool> alive(k, false);
   alive[self] = true;
   const std::string probe_payload = EncodePsopProbe(PsopProbe{self, attempt});
@@ -567,27 +573,45 @@ Result<std::vector<uint32_t>> PiaPeer::ProbeSurvivors(const PiaPeerOptions& opti
       if (conn.ok()) {
         Status sent = net::WriteFrame(*conn, static_cast<uint8_t>(MsgType::kPsopProbe),
                                       probe_payload, options.probe_io_timeout_ms);
-        if (sent.ok()) {
-          Result<net::Frame> ack =
-              net::ReadFrame(*conn, options.limits, options.probe_io_timeout_ms);
-          if (ack.ok() && ack->type == static_cast<uint8_t>(MsgType::kPsopProbeAck)) {
-            alive[peer] = true;
-            continue;
+        // Wait for the ack in short slices and answer inbound probes between
+        // them. A peer blocked on its own probe of a dead listener would
+        // otherwise leave ours unanswered for the whole probe timeout, and
+        // two peers in lockstep can miss each other for the whole window.
+        const auto ack_deadline = std::chrono::steady_clock::now() +
+                                  std::chrono::milliseconds(options.probe_io_timeout_ms);
+        while (sent.ok() && !alive[peer] && std::chrono::steady_clock::now() < ack_deadline) {
+          Status readable = conn->WaitReadable(kProbeSliceMs);
+          if (readable.ok()) {
+            Result<net::Frame> ack =
+                net::ReadFrame(*conn, options.limits, options.probe_io_timeout_ms);
+            if (ack.ok() && ack->type == static_cast<uint8_t>(MsgType::kPsopProbeAck)) {
+              alive[peer] = true;
+            }
+            break;
           }
+          if (readable.code() != StatusCode::kDeadlineExceeded) {
+            break;
+          }
+          Result<std::pair<net::Socket, net::Frame>> drained = AwaitHello(
+              options, attempt, kProbeSliceMs, pending, /*drain_only=*/true, &alive);
+          (void)drained;
+        }
+        if (alive[peer]) {
+          continue;
         }
       }
       undecided = true;
       // Answer inbound probes between outbound tries so peers probing each
       // other concurrently converge instead of starving one another.
-      Result<std::pair<net::Socket, net::Frame>> drained =
-          AwaitHello(options, attempt, /*deadline_ms=*/50, pending, /*drain_only=*/true);
+      Result<std::pair<net::Socket, net::Frame>> drained = AwaitHello(
+          options, attempt, /*deadline_ms=*/50, pending, /*drain_only=*/true, &alive);
       (void)drained;
     }
     if (!undecided || std::chrono::steady_clock::now() >= deadline) {
       break;
     }
-    Result<std::pair<net::Socket, net::Frame>> drained =
-        AwaitHello(options, attempt, /*deadline_ms=*/100, pending, /*drain_only=*/true);
+    Result<std::pair<net::Socket, net::Frame>> drained = AwaitHello(
+        options, attempt, /*deadline_ms=*/100, pending, /*drain_only=*/true, &alive);
     (void)drained;
   }
   std::vector<uint32_t> members;
@@ -608,7 +632,8 @@ Result<std::pair<net::Socket, net::Frame>> PiaPeer::AwaitHello(const PiaPeerOpti
                                                                uint32_t attempt,
                                                                int deadline_ms,
                                                                PendingHello* pending,
-                                                               bool drain_only) {
+                                                               bool drain_only,
+                                                               std::vector<bool>* probers) {
   const uint32_t self = static_cast<uint32_t>(options.self_index);
   // A hello is for *this* reformation if its membership extension carries
   // the current attempt; stale ones (from an aborted earlier reformation)
@@ -646,6 +671,11 @@ Result<std::pair<net::Socket, net::Frame>> PiaPeer::AwaitHello(const PiaPeerOpti
       continue;  // stray or garbled connection; drop it
     }
     if (first->type == static_cast<uint8_t>(MsgType::kPsopProbe)) {
+      Result<PsopProbe> probe = DecodePsopProbe(first->payload);
+      if (probers != nullptr && probe.ok() && probe->attempt == attempt &&
+          probe->sender_index < probers->size()) {
+        (*probers)[probe->sender_index] = true;
+      }
       // Answer and close: we are alive. The ack carries our index so the
       // prober can attribute it.
       Status acked = net::WriteFrame(*conn, static_cast<uint8_t>(MsgType::kPsopProbeAck),

@@ -26,10 +26,11 @@
 // fault every survivor closes both ring sockets — cascading the fault
 // around the ring within one io timeout — then probes every original
 // peer's listener (kPsopProbe/kPsopProbeAck over short-lived connections,
-// answering incoming probes meanwhile) for up to probe_window_ms. The
-// survivors that acked form the reformed ring, ordered by original index,
-// and the protocol restarts from scratch: P-SOP is memoryless, so a clean
-// re-run among m < k survivors is a correct m-party audit. Every frame of
+// answering incoming probes meanwhile, even while awaiting an ack) for up to
+// probe_window_ms. The survivors that acked, or probed us for the same
+// attempt, form the reformed ring, ordered by original index, and the
+// protocol restarts from scratch: P-SOP is memoryless, so a clean re-run
+// among m < k survivors is a correct m-party audit. Every frame of
 // a reformed session carries the ring-membership frame extension (attempt
 // + survivor bitmask); a peer whose membership view disagrees — or a
 // pre-upgrade peer that never learned the flag bit — fails closed with
@@ -155,10 +156,13 @@ class PiaPeer {
   // the loop never consumes `pending` and never returns early — it just
   // answers probes for the whole slice, stashing at most one early hello
   // into `pending` (the probe phase runs it between outbound probes).
+  // `probers`, when set, marks the original index of every peer that
+  // probed for this same attempt.
   Result<std::pair<net::Socket, net::Frame>> AwaitHello(const PiaPeerOptions& options,
                                                         uint32_t attempt, int deadline_ms,
                                                         PendingHello* pending,
-                                                        bool drain_only = false);
+                                                        bool drain_only = false,
+                                                        std::vector<bool>* probers = nullptr);
 
   net::Socket listener_;
   uint16_t port_ = 0;

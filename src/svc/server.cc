@@ -926,6 +926,8 @@ Status AuditServer::Start() {
   obs::MetricsRegistry::Global().GetCounter("obs.profile.samples");
   obs::MetricsRegistry::Global().GetCounter("obs.profile.dropped");
   obs::MetricsRegistry::Global().GetCounter("obs.profile.truncated_stacks");
+  // And for pool start-ups: steady serving must hold this one still.
+  obs::MetricsRegistry::Global().GetCounter("threadpool.threads_started_total");
   if (options_.profile_hz > 0) {
     obs::ProfileOptions popts;
     popts.hz = std::min(options_.profile_hz, obs::Profiler::kMaxHz);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <memory>
 
 #include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
@@ -11,12 +12,15 @@ namespace indaas {
 namespace {
 
 // Pool instruments, resolved once per process (DESIGN.md §6). Queue depth
-// and worker count are gauges with high-water marks; task latency lands in a
-// log-scaled histogram; busy_micros accumulates execution time so
-// utilization = busy_micros / (workers x wall_micros).
+// and worker count are gauges with high-water marks; threads_started_total
+// counts every worker ever spawned, so a steady state that creates no pools
+// holds it still; task latency lands in a log-scaled histogram; busy_micros
+// accumulates execution time so utilization = busy_micros / (workers x
+// wall_micros).
 struct PoolMetrics {
   obs::Gauge* queue_depth;
   obs::Gauge* workers;
+  obs::Counter* threads_started;
   obs::Counter* tasks_total;
   obs::Counter* busy_micros;
   obs::Histogram* task_micros;
@@ -28,6 +32,7 @@ PoolMetrics& Metrics() {
     return PoolMetrics{
         registry.GetGauge("threadpool.queue_depth"),
         registry.GetGauge("threadpool.workers"),
+        registry.GetCounter("threadpool.threads_started_total"),
         registry.GetCounter("threadpool.tasks_total"),
         registry.GetCounter("threadpool.busy_micros"),
         registry.GetHistogram("threadpool.task_micros",
@@ -43,6 +48,49 @@ uint64_t NowMicros() {
                                    .count());
 }
 
+// The pool whose WorkerLoop runs on this thread, if any.
+thread_local const ThreadPool* tls_worker_of = nullptr;
+
+// Shared state of one ParallelForChunked call. Helpers hold it by
+// shared_ptr, so one that starts after the caller returned can still look
+// at `next`, find no chunk left and return without touching `fn`.
+struct ChunkedCall {
+  ChunkedCall(size_t n, size_t grain, const std::function<void(size_t, size_t)>* fn)
+      : n(n), grain(grain), chunks((n + grain - 1) / grain), fn(fn) {}
+
+  // Claims and runs chunks until none is left.
+  void RunChunks() {
+    for (;;) {
+      const size_t chunk = next.fetch_add(1, std::memory_order_relaxed);
+      if (chunk >= chunks) {
+        return;
+      }
+      const size_t begin = chunk * grain;
+      (*fn)(begin, std::min(begin + grain, n));
+      if (finished.fetch_add(1, std::memory_order_acq_rel) + 1 == chunks) {
+        std::lock_guard<std::mutex> lock(mu);
+        all_finished.notify_all();
+      }
+    }
+  }
+
+  void AwaitAllFinished() {
+    std::unique_lock<std::mutex> lock(mu);
+    all_finished.wait(lock,
+                      [this] { return finished.load(std::memory_order_acquire) == chunks; });
+  }
+
+  const size_t n;
+  const size_t grain;
+  const size_t chunks;
+  // Valid while finished < chunks: the caller waits for that.
+  const std::function<void(size_t, size_t)>* const fn;
+  std::atomic<size_t> next{0};
+  std::atomic<size_t> finished{0};
+  std::mutex mu;
+  std::condition_variable all_finished;
+};
+
 }  // namespace
 
 ThreadPool::ThreadPool(size_t num_threads) {
@@ -52,6 +100,7 @@ ThreadPool::ThreadPool(size_t num_threads) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
   Metrics().workers->Add(static_cast<int64_t>(num_threads));
+  Metrics().threads_started->Add(num_threads);
 }
 
 ThreadPool::~ThreadPool() {
@@ -102,30 +151,31 @@ void ThreadPool::ParallelForChunked(size_t n, size_t grain,
   if (grain == 0) {
     grain = (n + workers_.size() - 1) / workers_.size();
   }
-  size_t chunks = (n + grain - 1) / grain;
-  // Workers pull chunk indices from a shared counter; at most one queued
-  // task per worker regardless of chunk count.
-  std::atomic<size_t> next_chunk{0};
-  size_t tasks = std::min(chunks, workers_.size());
-  for (size_t t = 0; t < tasks; ++t) {
-    Submit([&, grain, n] {
-      for (;;) {
-        size_t chunk = next_chunk.fetch_add(1);
-        size_t begin = chunk * grain;
-        if (begin >= n) {
-          return;
-        }
-        fn(begin, std::min(begin + grain, n));
-      }
-    });
+  const size_t chunks = (n + grain - 1) / grain;
+  if (chunks == 1 || OnWorkerThread()) {
+    for (size_t begin = 0; begin < n; begin += grain) {
+      fn(begin, std::min(begin + grain, n));
+    }
+    return;
   }
-  Wait();
+  // Caller-runs: the caller works through the chunks too, so it never
+  // waits for a helper that is still queued behind someone else's task.
+  auto call = std::make_shared<ChunkedCall>(n, grain, &fn);
+  const size_t helpers = std::min(chunks - 1, workers_.size());
+  for (size_t t = 0; t < helpers; ++t) {
+    Submit([call] { call->RunChunks(); });
+  }
+  call->RunChunks();
+  call->AwaitAllFinished();
 }
+
+bool ThreadPool::OnWorkerThread() const { return tls_worker_of == this; }
 
 void ThreadPool::WorkerLoop() {
   // Pool workers run every CPU-bound RPC, so they are exactly the threads a
   // profile of a busy server must see (unregistered threads are invisible).
   obs::Profiler::Global().RegisterCurrentThread();
+  tls_worker_of = this;
   PoolMetrics& metrics = Metrics();
   for (;;) {
     std::function<void()> task;
@@ -154,6 +204,14 @@ void ThreadPool::WorkerLoop() {
       }
     }
   }
+}
+
+ThreadPool& ComputePool() {
+  // Leaked on purpose: joining workers during static destruction would race
+  // any late task against the globals it touches.
+  static ThreadPool* pool =
+      new ThreadPool(std::max<unsigned>(1, std::thread::hardware_concurrency()));
+  return *pool;
 }
 
 }  // namespace indaas

@@ -1,5 +1,12 @@
-// Fixed-size worker pool used to parallelize failure-sampling rounds and
-// per-deployment audits.
+// Fixed-size worker pools.
+//
+// The compute layers share one process-wide pool, ComputePool(): the bitset
+// RG engine's AND products and absorption levels, Monte-Carlo ranking
+// shards, failure-sampling shards and the parallel per-deployment fan-outs
+// of SIA and PIA audits all run on it. It starts on first use — callers
+// reach for it only once their work crosses a threshold — and is never
+// destroyed, so an audit never pays for creating or joining threads. The
+// audit server keeps its own request pool (svc/server.h).
 
 #ifndef SRC_UTIL_THREAD_POOL_H_
 #define SRC_UTIL_THREAD_POOL_H_
@@ -27,10 +34,14 @@ class ThreadPool {
   // Enqueues a task for execution.
   void Submit(std::function<void()> task);
 
-  // Blocks until the queue is empty and all workers are idle.
+  // Blocks until the queue is empty and all workers are idle — every task
+  // of every submitter. ParallelFor callers never need it.
   void Wait();
 
   size_t num_threads() const { return workers_.size(); }
+
+  // True when the calling thread is one of this pool's workers.
+  bool OnWorkerThread() const;
 
   // Runs fn(i) for i in [0, n) across the pool and waits for completion.
   // fn must be safe to invoke concurrently.
@@ -42,6 +53,12 @@ class ThreadPool {
   // instead of a std::function dispatch. Chunk boundaries depend only on
   // n and grain, never on the worker count, so callers that merge per-chunk
   // results in chunk order get thread-count-independent output.
+  //
+  // The caller claims chunks alongside the helpers it submits and returns
+  // once all of *its* chunks have finished; it never waits on other
+  // callers' tasks, so concurrent callers may share one pool. A call made
+  // from one of this pool's own workers runs every chunk inline, in order,
+  // so fan-out never nests and never deadlocks.
   void ParallelForChunked(size_t n, size_t grain,
                           const std::function<void(size_t, size_t)>& fn);
 
@@ -56,6 +73,10 @@ class ThreadPool {
   bool shutting_down_ = false;
   std::vector<std::thread> workers_;
 };
+
+// The process-wide compute pool: hardware-concurrency workers, created by
+// the first call and deliberately never destroyed.
+ThreadPool& ComputePool();
 
 }  // namespace indaas
 

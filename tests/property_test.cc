@@ -9,14 +9,20 @@
 
 #include "src/bignum/modular.h"
 #include "src/bignum/prime.h"
+#include "src/deps/depdb.h"
 #include "src/graph/fault_graph.h"
 #include "src/graph/levels.h"
+#include "src/obs/metrics.h"
 #include "src/pia/jaccard.h"
 #include "src/pia/psop.h"
+#include "src/sia/builder.h"
+#include "src/sia/cutset.h"
 #include "src/sia/ranking.h"
 #include "src/sia/risk_groups.h"
 #include "src/sia/sampling.h"
+#include "src/topology/fat_tree.h"
 #include "src/util/rng.h"
+#include "src/util/strings.h"
 
 namespace indaas {
 namespace {
@@ -183,6 +189,192 @@ TEST(RgEngineParityTest, EmittedGroupsAreTrulyMinimal) {
       }
     }
   }
+}
+
+// --- AbsorbMinimal vs a brute-force minimal-set oracle ---
+
+uint64_t ComputePoolTasks() {
+  return obs::MetricsRegistry::Global().GetCounter("threadpool.tasks_total")->Value();
+}
+
+// O(n^2) reference: drop repeats of an earlier row, drop every row that has
+// a proper subset among the input rows, then order the survivors by
+// popcount, keeping first-appearance order within a popcount.
+CutSetArena BruteForceMinimal(const CutSetArena& sets) {
+  const size_t stride = sets.stride();
+  std::vector<size_t> survivors;
+  for (size_t i = 0; i < sets.size(); ++i) {
+    bool drop = false;
+    for (size_t j = 0; j < sets.size() && !drop; ++j) {
+      const bool equal = RowEquals(sets.row(j), sets.row(i), stride);
+      drop = equal ? j < i : RowSubsetOf(sets.row(j), sets.row(i), stride);
+    }
+    if (!drop) {
+      survivors.push_back(i);
+    }
+  }
+  std::stable_sort(survivors.begin(), survivors.end(), [&](size_t a, size_t b) {
+    return RowPopcount(sets.row(a), stride) < RowPopcount(sets.row(b), stride);
+  });
+  CutSetArena out(stride);
+  for (size_t i : survivors) {
+    out.AppendCopy(sets.row(i));
+  }
+  return out;
+}
+
+// Random non-empty rows over stride*64 bits. Most draw from a narrow
+// universe so subset relations are common; the rest spread over every word,
+// with popcounts up to the full stride*64. Some rows repeat earlier ones,
+// and all-ones rows (one word up to every word) show up too.
+CutSetArena RandomArena(Rng& rng, size_t stride, size_t rows) {
+  const size_t bits = stride * 64;
+  CutSetArena arena(stride);
+  for (size_t r = 0; r < rows; ++r) {
+    const uint64_t kind = rng.NextBelow(20);
+    uint64_t* row = arena.AppendZero();
+    if (kind == 0 && arena.size() > 1) {
+      const uint64_t* earlier = arena.row(rng.NextBelow(arena.size() - 1));
+      for (size_t w = 0; w < stride; ++w) {
+        row[w] = earlier[w];
+      }
+    } else if (kind == 1) {
+      const size_t words = 1 + rng.NextBelow(stride);
+      for (size_t w = 0; w < words; ++w) {
+        row[w] = ~0ULL;
+      }
+    } else if (kind < 12) {
+      const size_t universe = 6 + rng.NextBelow(10);
+      const size_t members = 1 + rng.NextBelow(universe / 2);
+      for (size_t m = 0; m < members; ++m) {
+        const size_t bit = rng.NextBelow(universe) * (stride * 64 / 16);
+        row[bit / 64] |= 1ULL << (bit % 64);
+      }
+    } else {
+      const size_t members = 1 + rng.NextBelow(bits);
+      for (size_t m = 0; m < members; ++m) {
+        const size_t bit = rng.NextBelow(bits);
+        row[bit / 64] |= 1ULL << (bit % 64);
+      }
+    }
+  }
+  return arena;
+}
+
+void ExpectSameRows(const CutSetArena& got, const CutSetArena& want, const std::string& where) {
+  ASSERT_EQ(got.stride(), want.stride()) << where;
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_TRUE(RowEquals(got.row(i), want.row(i), got.stride())) << where << " row " << i;
+  }
+}
+
+class AbsorbOracleTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(AbsorbOracleTest, MatchesBruteForceWithAndWithoutThePool) {
+  Rng rng(GetParam() * 7919 + 3);
+  for (size_t stride = 1; stride <= 3; ++stride) {
+    for (size_t rows : {size_t{0}, size_t{1}, size_t{40}, size_t{300}}) {
+      CutSetArena sets = RandomArena(rng, stride, rows);
+      CutSetArena want = BruteForceMinimal(sets);
+      const std::string where =
+          StrFormat("seed %llu stride %zu rows %zu", static_cast<unsigned long long>(GetParam()),
+                    stride, rows);
+      ExpectSameRows(AbsorbMinimal(sets, /*parallel=*/false), want, where + " sequential");
+      ExpectSameRows(AbsorbMinimal(sets, /*parallel=*/true), want, where + " pool");
+    }
+    // An empty row (popcount 0) absorbs every other row.
+    CutSetArena sets = RandomArena(rng, stride, 30);
+    sets.AppendZero();
+    CutSetArena want = BruteForceMinimal(sets);
+    ASSERT_EQ(want.size(), 1u);
+    ExpectSameRows(AbsorbMinimal(sets, /*parallel=*/false), want, "empty row sequential");
+    ExpectSameRows(AbsorbMinimal(sets, /*parallel=*/true), want, "empty row pool");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, AbsorbOracleTest, ::testing::Range<uint64_t>(1, 9));
+
+// Large enough that popcount levels cross the parallel-absorption threshold,
+// so the shared pool really runs shards.
+TEST(AbsorbOracleTest, LargeArenasTakeThePoolAndStillMatch) {
+  Rng rng(104729);
+  const uint64_t tasks_before = ComputePoolTasks();
+  for (size_t stride = 1; stride <= 3; ++stride) {
+    CutSetArena sets(stride);
+    // Sparse wide rows rarely contain one another, so the survivor set (and
+    // the per-level subset work) grows with the input.
+    for (size_t r = 0; r < 2500; ++r) {
+      uint64_t* row = sets.AppendZero();
+      const size_t members = 2 + rng.NextBelow(stride * 24);
+      for (size_t m = 0; m < members; ++m) {
+        const size_t bit = rng.NextBelow(stride * 64);
+        row[bit / 64] |= 1ULL << (bit % 64);
+      }
+      if (r % 50 == 49) {
+        const uint64_t* earlier = sets.row(rng.NextBelow(sets.size() - 1));
+        uint64_t* repeat = sets.AppendZero();
+        for (size_t w = 0; w < stride; ++w) {
+          repeat[w] = earlier[w];
+        }
+      }
+    }
+    CutSetArena want = BruteForceMinimal(sets);
+    const std::string where = StrFormat("stride %zu", stride);
+    ExpectSameRows(AbsorbMinimal(sets, /*parallel=*/false), want, where + " sequential");
+    ExpectSameRows(AbsorbMinimal(sets, /*parallel=*/true), want, where + " pool");
+  }
+  EXPECT_GT(ComputePoolTasks(), tasks_before) << "no absorption level reached the pool";
+}
+
+// The k=16 fat-tree deployments the remote SIA benchmark audits: servers in
+// distinct pods, three ECMP routes each, plus shared hardware models and
+// package versions. ComputeMinimalRiskGroups must give the same bytes
+// sequentially and on the shared pool, for the AND gate and for 2-of-3.
+TEST(RgEngineParityTest, FatTreeGroupsIdenticalSequentialAndOnSharedPool) {
+  constexpr uint32_t kPorts = 16;
+  auto topo = BuildFatTree(kPorts);
+  ASSERT_TRUE(topo.ok()) << topo.status().ToString();
+  auto internet = topo->FindDevice("Internet");
+  ASSERT_TRUE(internet.ok());
+  Rng rng(16);
+  const std::vector<std::string> cpus = {"XeonE5-2650", "XeonE5-2680", "EPYC-7302"};
+  const std::vector<std::string> libcs = {"libc6=2.13", "libc6=2.14", "libc6=2.19"};
+  DepDb db;
+  for (DeviceId server : topo->DevicesOfType(DeviceType::kServer)) {
+    const std::string& name = topo->device(server).name;
+    std::vector<NetworkDependency> routes = topo->NetworkDependencies(server, *internet, 64);
+    rng.Shuffle(routes);
+    routes.resize(std::min<size_t>(routes.size(), 3));
+    for (const NetworkDependency& route : routes) {
+      db.Add(route);
+    }
+    db.Add(HardwareDependency{name, "CPU", cpus[rng.NextBelow(cpus.size())]});
+    db.Add(SoftwareDependency{"riak", name, {libcs[rng.NextBelow(libcs.size())]}});
+  }
+  const uint64_t tasks_before = ComputePoolTasks();
+  for (int trial = 0; trial < 8; ++trial) {
+    std::vector<std::string> servers;
+    for (uint32_t pod = 0; pod < 3; ++pod) {
+      servers.push_back(StrFormat("pod%u-srv%u-%u", (trial * 3 + pod) % kPorts,
+                                  static_cast<uint32_t>(rng.NextBelow(kPorts / 2)),
+                                  static_cast<uint32_t>(rng.NextBelow(kPorts / 2))));
+    }
+    BuildOptions build;
+    build.required_servers = trial % 4 == 0 ? 0 : 2;
+    auto graph = BuildDeploymentFaultGraph(db, servers, build);
+    ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+    MinimalRgOptions sequential;
+    sequential.threads = 1;
+    auto want = ComputeMinimalRiskGroups(*graph, sequential);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    MinimalRgOptions shared;  // threads = 0: the shared pool past the thresholds
+    auto got = ComputeMinimalRiskGroups(*graph, shared);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got->groups, want->groups) << "trial " << trial;
+    EXPECT_EQ(got->size_bounded, want->size_bounded) << "trial " << trial;
+  }
+  EXPECT_GT(ComputePoolTasks(), tasks_before) << "no fat-tree stage reached the pool";
 }
 
 // --- Sampling soundness & convergence on random graphs ---

@@ -670,8 +670,8 @@ TEST(AuditServerTest, StatsAndHealthEndToEnd) {
                           [](const auto& g) { return g.name == "svc.adaptive_shed_level"; }));
   // Likewise the profiler surface: obs.profile.* counters report explicit
   // zeros from Start(), whether or not a profile window ever runs.
-  for (const char* name :
-       {"obs.profile.samples", "obs.profile.dropped", "obs.profile.truncated_stacks"}) {
+  for (const char* name : {"obs.profile.samples", "obs.profile.dropped",
+                           "obs.profile.truncated_stacks", "threadpool.threads_started_total"}) {
     EXPECT_TRUE(std::any_of(first->metrics.counters.begin(), first->metrics.counters.end(),
                             [name](const auto& c) { return c.name == name; }))
         << name;
@@ -700,6 +700,31 @@ TEST(AuditServerTest, StatsAndHealthEndToEnd) {
   ASSERT_TRUE(draining.ok());
   EXPECT_FALSE(draining->serving);
   EXPECT_TRUE(client->GetStats().ok());
+  server.Stop();
+}
+
+// Small audits run below every parallel-work threshold, so a warm server
+// serves them without creating a single thread: no pool per audit.
+TEST(AuditServerTest, SmallAuditsStartNoThreads) {
+  AuditServerOptions options;
+  options.worker_threads = 2;
+  AuditServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+  auto client = AuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()});
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  ASSERT_TRUE(client->ImportDepDb(TestDepDbText()).ok());
+  ASSERT_TRUE(client->AuditStructural(TestSpec()).ok());  // warm-up
+  auto before = client->GetStats();
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(client->AuditStructural(TestSpec()).ok()) << "audit " << i;
+  }
+  auto after = client->GetStats();
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_GE(CounterValue(after->metrics, "svc.rpcs.AuditRequest"),
+            CounterValue(before->metrics, "svc.rpcs.AuditRequest") + 50);
+  EXPECT_EQ(CounterValue(after->metrics, "threadpool.threads_started_total"),
+            CounterValue(before->metrics, "threadpool.threads_started_total"));
   server.Stop();
 }
 

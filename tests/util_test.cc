@@ -2,9 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <future>
+#include <mutex>
 #include <set>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "src/util/flags.h"
 #include "src/util/rng.h"
@@ -368,6 +375,109 @@ TEST(ThreadPoolTest, WaitThenReuse) {
   pool.Submit([&] { counter.fetch_add(1); });
   pool.Wait();
   EXPECT_EQ(counter.load(), 2);
+}
+
+TEST(ThreadPoolTest, ParallelForFromAPoolTaskRunsInline) {
+  // Deleted only on success: if the nested call deadlocked, ~ThreadPool
+  // would hang joining the stuck worker instead of letting the test fail.
+  ThreadPool* pool = new ThreadPool(2);
+  std::promise<bool> done;
+  pool->Submit([&] {
+    EXPECT_TRUE(pool->OnWorkerThread());
+    const std::thread::id self = std::this_thread::get_id();
+    std::vector<size_t> order;  // no lock: inline means one thread, in order
+    pool->ParallelFor(50, [&](size_t i) {
+      EXPECT_EQ(std::this_thread::get_id(), self);
+      order.push_back(i);
+    });
+    std::vector<std::pair<size_t, size_t>> chunks;
+    pool->ParallelForChunked(100, 16, [&](size_t begin, size_t end) {
+      EXPECT_EQ(std::this_thread::get_id(), self);
+      chunks.emplace_back(begin, end);
+    });
+    bool in_order = order.size() == 50 && std::is_sorted(order.begin(), order.end()) &&
+                    chunks.size() == 7 && std::is_sorted(chunks.begin(), chunks.end()) &&
+                    chunks.back() == std::make_pair(size_t{96}, size_t{100});
+    done.set_value(in_order);
+  });
+  std::future<bool> result = done.get_future();
+  ASSERT_EQ(result.wait_for(std::chrono::seconds(30)), std::future_status::ready)
+      << "nested ParallelFor did not complete";
+  EXPECT_TRUE(result.get());
+  EXPECT_FALSE(pool->OnWorkerThread());
+  delete pool;
+}
+
+TEST(ThreadPoolTest, ConcurrentCallersWaitOnlyForTheirOwnChunks) {
+  ThreadPool pool(2);
+  std::promise<void> long_started;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::atomic<size_t> a_done{0};
+  std::atomic<bool> a_returned{false};
+  // Caller A: one chunk blocks until released; it is A's long task.
+  std::thread a([&] {
+    pool.ParallelForChunked(4, 1, [&](size_t begin, size_t) {
+      if (begin == 0) {
+        long_started.set_value();
+        released.wait();
+      }
+      a_done.fetch_add(1);
+    });
+    EXPECT_EQ(a_done.load(), 4u) << "A returned before all of its chunks finished";
+    a_returned = true;
+  });
+  long_started.get_future().wait();
+  // Caller B, while A's long chunk still runs on the shared pool.
+  std::atomic<size_t> b_done{0};
+  std::future<size_t> b = std::async(std::launch::async, [&] {
+    pool.ParallelForChunked(64, 1, [&](size_t, size_t) { b_done.fetch_add(1); });
+    return b_done.load();
+  });
+  const bool b_finished = b.wait_for(std::chrono::seconds(30)) == std::future_status::ready;
+  const bool a_still_blocked = !a_returned.load();
+  release.set_value();
+  a.join();
+  EXPECT_TRUE(b_finished) << "B waited for A's long task";
+  EXPECT_TRUE(a_still_blocked);
+  EXPECT_EQ(b.get(), 64u) << "B returned before all of its chunks finished";
+  EXPECT_EQ(a_done.load(), 4u);
+}
+
+TEST(ThreadPoolTest, ChunkBoundariesIndependentOfWorkerCount) {
+  const std::vector<std::pair<size_t, size_t>> shapes = {
+      {1, 1}, {7, 3}, {100, 16}, {1000, 64}, {4097, 1024}, {33, 40}};
+  for (const auto& [n, grain] : shapes) {
+    std::vector<std::vector<std::pair<size_t, size_t>>> seen;
+    for (size_t workers : {size_t{1}, size_t{2}, size_t{7}}) {
+      ThreadPool pool(workers);
+      std::mutex mu;
+      std::vector<std::pair<size_t, size_t>> chunks;
+      pool.ParallelForChunked(n, grain, [&](size_t begin, size_t end) {
+        std::lock_guard<std::mutex> lock(mu);
+        chunks.emplace_back(begin, end);
+      });
+      std::sort(chunks.begin(), chunks.end());
+      seen.push_back(std::move(chunks));
+    }
+    EXPECT_EQ(seen[0], seen[1]) << "n " << n << " grain " << grain;
+    EXPECT_EQ(seen[0], seen[2]) << "n " << n << " grain " << grain;
+    ASSERT_FALSE(seen[0].empty());
+    EXPECT_EQ(seen[0].front().first, 0u);
+    EXPECT_EQ(seen[0].back().second, n);
+  }
+}
+
+TEST(ThreadPoolTest, ComputePoolIsOneHardwareSizedPool) {
+  ThreadPool& pool = ComputePool();
+  EXPECT_EQ(&pool, &ComputePool());
+  EXPECT_EQ(pool.num_threads(),
+            std::max<size_t>(1, std::thread::hardware_concurrency()));
+  std::atomic<size_t> covered{0};
+  pool.ParallelForChunked(10000, 100, [&](size_t begin, size_t end) {
+    covered.fetch_add(end - begin);
+  });
+  EXPECT_EQ(covered.load(), 10000u);
 }
 
 }  // namespace
