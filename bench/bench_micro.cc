@@ -56,6 +56,37 @@ void BM_ModExp(benchmark::State& state) {
 }
 BENCHMARK(BM_ModExp)->Arg(768)->Arg(1024)->Arg(2048)->Unit(benchmark::kMicrosecond);
 
+// One Montgomery multiply / square on raw lanes with the kernel Create()
+// dispatches to (named in the row's label); ModExp is ~1/5 multiplies and
+// ~4/5 squarings.
+void MontKernelBench(benchmark::State& state, bool square) {
+  Rng rng(3);
+  auto p = WellKnownSafePrime(static_cast<size_t>(state.range(0)));
+  auto ctx = MontgomeryContext::Create(*p);
+  std::vector<uint64_t> a(ctx->lanes());
+  std::vector<uint64_t> b(ctx->lanes());
+  for (size_t i = 0; i + 1 < a.size(); ++i) {  // top lane 0 keeps both < p
+    a[i] = rng.Next();
+    b[i] = rng.Next();
+  }
+  for (auto _ : state) {
+    if (square) {
+      ctx->SqrLanes(a.data(), a.data());
+    } else {
+      ctx->MulLanes(a.data(), a.data(), b.data());
+    }
+    benchmark::DoNotOptimize(a.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(MontKernelName(ctx->kernel()));
+}
+
+void BM_MulMont(benchmark::State& state) { MontKernelBench(state, false); }
+BENCHMARK(BM_MulMont)->Arg(1024)->Arg(2048);
+
+void BM_SqrMont(benchmark::State& state) { MontKernelBench(state, true); }
+BENCHMARK(BM_SqrMont)->Arg(1024)->Arg(2048);
+
 void BM_Digest(benchmark::State& state) {
   std::string data(static_cast<size_t>(state.range(0)), 'x');
   for (auto _ : state) {

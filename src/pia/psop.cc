@@ -1,11 +1,13 @@
 #include "src/pia/psop.h"
 
 #include <algorithm>
+#include <functional>
 #include <map>
 
 #include "src/obs/trace.h"
 #include "src/sketch/sketch.h"
 #include "src/util/strings.h"
+#include "src/util/thread_pool.h"
 
 namespace indaas {
 namespace {
@@ -16,6 +18,18 @@ struct Party {
   std::vector<BigUint> dataset;  // the dataset currently held (in transit)
   PartyStats stats;
 };
+
+// Runs fn(i) for i in [0, n): on ComputePool() once there are two elements
+// to spread, inline otherwise, so a one-element party never starts the pool.
+void ForEachElement(size_t n, const std::function<void(size_t)>& fn) {
+  if (n < 2) {
+    for (size_t i = 0; i < n; ++i) {
+      fn(i);
+    }
+    return;
+  }
+  ComputePool().ParallelFor(n, fn);
+}
 
 }  // namespace
 
@@ -28,6 +42,22 @@ std::vector<std::string> DisambiguateMultiset(const std::vector<std::string>& el
     out.push_back(element + "||" + std::to_string(occurrence));
   }
   return out;
+}
+
+std::vector<BigUint> HashAndEncrypt(const CommutativeGroup& group, const CommutativeKey& key,
+                                    const std::vector<std::string>& elements,
+                                    HashAlgorithm hash) {
+  std::vector<BigUint> out(elements.size());
+  ForEachElement(elements.size(), [&](size_t i) {
+    out[i] = key.Encrypt(group, group.HashToElement(elements[i], hash));
+  });
+  return out;
+}
+
+void EncryptInPlace(const CommutativeGroup& group, const CommutativeKey& key,
+                    std::vector<BigUint>& elements) {
+  ForEachElement(elements.size(),
+                 [&](size_t i) { elements[i] = key.Encrypt(group, elements[i]); });
 }
 
 Result<PsopResult> RunPsop(const std::vector<std::vector<std::string>>& datasets,
@@ -62,13 +92,9 @@ Result<PsopResult> RunPsop(const std::vector<std::vector<std::string>>& datasets
     for (size_t i = 0; i < k; ++i) {
       Party& party = parties[i];
       PartyComputeTimer timer(meters[i]);
-      std::vector<std::string> elements = DisambiguateMultiset(datasets[i]);
-      party.dataset.reserve(elements.size());
-      for (const std::string& element : elements) {
-        BigUint point = group.HashToElement(element, options.hash);
-        party.dataset.push_back(party.key.Encrypt(group, point));
-        meters[i].AddEncryptOps();
-      }
+      party.dataset =
+          HashAndEncrypt(group, party.key, DisambiguateMultiset(datasets[i]), options.hash);
+      meters[i].AddEncryptOps(party.dataset.size());
       rng.Shuffle(party.dataset);
     }
   }
@@ -95,10 +121,8 @@ Result<PsopResult> RunPsop(const std::vector<std::vector<std::string>>& datasets
         }
         Party& party = parties[next];
         PartyComputeTimer timer(meters[next]);
-        for (BigUint& element : party.dataset) {
-          element = party.key.Encrypt(group, element);
-          meters[next].AddEncryptOps();
-        }
+        EncryptInPlace(group, party.key, party.dataset);
+        meters[next].AddEncryptOps(party.dataset.size());
         rng.Shuffle(party.dataset);
       }
     }

@@ -58,6 +58,21 @@ struct PsopResult {
 // engines hash identical plaintexts.
 std::vector<std::string> DisambiguateMultiset(const std::vector<std::string>& elements);
 
+// The per-element crypto of a ring party, shared by both engines. Each
+// element is a full modexp, so two or more elements are spread over the
+// shared ComputePool() (one runs inline); element i's result lands at index
+// i, so the output is the same as a serial loop's. Callers shuffle and
+// meter afterwards, on their own thread, which keeps RNG draws and counters
+// unchanged.
+//
+// Phase 0: hash each element into the group and encrypt it with `key`.
+std::vector<BigUint> HashAndEncrypt(const CommutativeGroup& group, const CommutativeKey& key,
+                                    const std::vector<std::string>& elements,
+                                    HashAlgorithm hash);
+// A ring hop: re-encrypt every element in place with `key`.
+void EncryptInPlace(const CommutativeGroup& group, const CommutativeKey& key,
+                    std::vector<BigUint>& elements);
+
 // Runs the protocol over the parties' datasets (one vector<string> each).
 // Requires >= 2 parties; datasets may contain duplicates (handled via the
 // e||1..e||t disambiguation from §4.2.2).

@@ -416,13 +416,8 @@ Result<PsopResult> PiaPeer::RunPsopAttempt(const std::vector<std::string>& datas
   {
     INDAAS_TRACE_SPAN("pia.psop.encrypt_permute");
     PartyComputeTimer timer(meter);
-    std::vector<std::string> elements = DisambiguateMultiset(dataset);
-    current.reserve(elements.size());
-    for (const std::string& element : elements) {
-      BigUint point = group.HashToElement(element, options.psop.hash);
-      current.push_back(key.Encrypt(group, point));
-      meter.AddEncryptOps();
-    }
+    current = HashAndEncrypt(group, key, DisambiguateMultiset(dataset), options.psop.hash);
+    meter.AddEncryptOps(current.size());
     rng.Shuffle(current);
   }
 
@@ -490,10 +485,8 @@ Result<PsopResult> PiaPeer::RunPsopAttempt(const std::vector<std::string>& datas
                                                 expect_origin));
       if (hop + 1 < m) {
         PartyComputeTimer timer(meter);
-        for (BigUint& element : current) {
-          element = key.Encrypt(group, element);
-          meter.AddEncryptOps();
-        }
+        EncryptInPlace(group, key, current);
+        meter.AddEncryptOps(current.size());
         rng.Shuffle(current);
       }
     }

@@ -2,11 +2,12 @@
 //
 // The compute layers share one process-wide pool, ComputePool(): the bitset
 // RG engine's AND products and absorption levels, Monte-Carlo ranking
-// shards, failure-sampling shards and the parallel per-deployment fan-outs
-// of SIA and PIA audits all run on it. It starts on first use — callers
-// reach for it only once their work crosses a threshold — and is never
-// destroyed, so an audit never pays for creating or joining threads. The
-// audit server keeps its own request pool (svc/server.h).
+// shards, failure-sampling shards, the parallel per-deployment fan-outs of
+// SIA and PIA audits, and the per-element modexps of P-SOP ring hops (once
+// a party holds two or more elements) all run on it. It starts on first
+// use — callers reach for it only once their work crosses a threshold —
+// and is never destroyed, so an audit never pays for creating or joining
+// threads. The audit server keeps its own request pool (svc/server.h).
 
 #ifndef SRC_UTIL_THREAD_POOL_H_
 #define SRC_UTIL_THREAD_POOL_H_

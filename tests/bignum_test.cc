@@ -316,6 +316,34 @@ TEST(MontgomeryTest, MulMatchesPlainModMul) {
   }
 }
 
+// Inputs >= n, including ones with more limbs than the modulus, are reduced
+// first: the results equal those of the reduced inputs and are < n.
+TEST(MontgomeryTest, InputsAtOrAboveModulusAreReduced) {
+  auto small = MontgomeryContext::Create(BigUint(1000000007));
+  ASSERT_TRUE(small.ok());
+  const BigUint& n = small->modulus();
+  const BigUint wide = BigUint(1).ShiftLeft(80);  // more limbs than the modulus
+  BigUint got = small->FromMontgomery(wide);
+  EXPECT_EQ(got, small->FromMontgomery(wide.Mod(n)));
+  EXPECT_EQ(small->ToMontgomery(got), wide.Mod(n));
+  EXPECT_EQ(small->MulMont(wide, wide), small->MulMont(wide.Mod(n), wide.Mod(n)));
+  const BigUint lane_max(UINT64_MAX);  // >= n but fits the one lane
+  EXPECT_EQ(small->MulMont(lane_max, lane_max), small->MulMont(lane_max.Mod(n), lane_max.Mod(n)));
+  EXPECT_LT(small->MulMont(lane_max, lane_max), n);
+
+  // A 16-lane modulus near R/2 (the ADX kernel's size where the CPU has
+  // it); R - 1 is >= n.
+  const BigUint half = BigUint(1).ShiftLeft(1023).Add(BigUint(1));
+  auto ctx = MontgomeryContext::Create(half);
+  ASSERT_TRUE(ctx.ok());
+  const BigUint all_ones = BigUint(1).ShiftLeft(1024).Sub(BigUint(1));
+  const BigUint reduced = all_ones.Mod(half);
+  BigUint square = ctx->MulMont(all_ones, all_ones);
+  EXPECT_LT(square, half);
+  EXPECT_EQ(square, ctx->MulMont(reduced, reduced));
+  EXPECT_EQ(ctx->FromMontgomery(all_ones), ctx->FromMontgomery(reduced));
+}
+
 TEST(MontgomeryTest, FermatLittleTheorem) {
   // a^(p-1) = 1 mod p for prime p — a strong end-to-end check of ModExp.
   Rng rng(61);

@@ -5,10 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <set>
 
 #include "src/bignum/modular.h"
+#include "src/bignum/montgomery.h"
 #include "src/bignum/prime.h"
+#include "src/crypto/commutative.h"
 #include "src/deps/depdb.h"
 #include "src/graph/fault_graph.h"
 #include "src/graph/levels.h"
@@ -550,8 +553,287 @@ TEST_P(BignumPropertyTest, RingAxiomsAndModExpHomomorphism) {
   }
 }
 
+// The modexp oracle: left-to-right square-and-multiply with BigUint::Mul and
+// division-based Mod. It shares no code with the Montgomery kernels, and
+// modular.cc's ModExp() never reaches its own division path for odd moduli.
+BigUint OracleModExp(const BigUint& base, const BigUint& exponent, const BigUint& modulus) {
+  BigUint result = BigUint(1).Mod(modulus);
+  const BigUint b = base.Mod(modulus);
+  for (size_t i = exponent.BitLength(); i-- > 0;) {
+    result = result.Mul(result).Mod(modulus);
+    if (exponent.Bit(i)) {
+      result = result.Mul(b).Mod(modulus);
+    }
+  }
+  return result;
+}
+
+TEST_P(BignumPropertyTest, ModExpOfOddModuliMatchesOracle) {
+  const size_t bits = GetParam();
+  Rng rng(bits * 7919);
+  for (int trial = 0; trial < 6; ++trial) {
+    BigUint modulus = RandomWithBits(bits, rng);
+    if (!modulus.IsOdd()) {
+      modulus = modulus.Add(BigUint(1));
+    }
+    BigUint base = RandomWithBits(bits + 9, rng);  // wider than the modulus
+    BigUint exponent = RandomWithBits(1 + rng.NextBelow(bits), rng);
+    auto got = ModExp(base, exponent, modulus);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(*got, OracleModExp(base, exponent, modulus)) << "trial " << trial;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Bits, BignumPropertyTest,
                          ::testing::Values(16, 33, 64, 65, 128, 257, 512, 1024));
+
+// --- Every Montgomery kernel against the oracle ---
+
+// Little-endian 64-bit lanes of a value < 2^(64 * lanes).
+std::vector<uint64_t> ToLanes(const BigUint& value, size_t lanes) {
+  std::vector<uint64_t> out(lanes, 0);
+  for (size_t i = 0; i < value.limbs().size(); ++i) {
+    out[i / 2] |= static_cast<uint64_t>(value.limbs()[i]) << (32 * (i % 2));
+  }
+  return out;
+}
+
+BigUint FromLanes(const std::vector<uint64_t>& lanes) {
+  std::vector<uint32_t> limbs;
+  for (uint64_t lane : lanes) {
+    limbs.push_back(static_cast<uint32_t>(lane));
+    limbs.push_back(static_cast<uint32_t>(lane >> 32));
+  }
+  return BigUint::FromLimbs(std::move(limbs));
+}
+
+struct ModExpCase {
+  BigUint modulus;
+  BigUint base;
+  BigUint exponent;
+  BigUint expected;  // from OracleModExp
+  std::string what;
+};
+
+// The 768/1024/1536/2048-bit MODP primes with edge exponents (0, 1, 2,
+// all-ones, q, p-1) on a random base and edge bases (0, 1, p-1, >= p) on a
+// random exponent. Built once; every kernel's test reuses the oracle values.
+const std::vector<ModExpCase>& ModpCases() {
+  static const std::vector<ModExpCase> cases = [] {
+    std::vector<ModExpCase> out;
+    Rng rng(4099);
+    const BigUint one(1);
+    for (size_t bits : {768, 1024, 1536, 2048}) {
+      const BigUint p = WellKnownSafePrime(bits).value();
+      const BigUint p_minus_1 = p.Sub(one);
+      const BigUint random_base = RandomBelow(p, rng);
+      const BigUint random_exponent = RandomBelow(p, rng);
+      const std::vector<std::pair<std::string, BigUint>> exponents = {
+          {"0", BigUint()},
+          {"1", one},
+          {"2", BigUint(2)},
+          {"all-ones", one.ShiftLeft(bits).Sub(one)},
+          {"q", p_minus_1.ShiftRight(1)},
+          {"p-1", p_minus_1},
+          {"random", random_exponent}};
+      for (const auto& [name, exponent] : exponents) {
+        out.push_back({p, random_base, exponent, {}, "exponent " + name});
+      }
+      const std::vector<std::pair<std::string, BigUint>> bases = {
+          {"0", BigUint()}, {"1", one}, {"p-1", p_minus_1}, {">=p", p.Add(random_base)}};
+      for (const auto& [name, base] : bases) {
+        out.push_back({p, base, random_exponent, {}, "base " + name});
+      }
+      for (size_t i = out.size() - exponents.size() - bases.size(); i < out.size(); ++i) {
+        out[i].expected = OracleModExp(out[i].base, out[i].exponent, p);
+        out[i].what = std::to_string(bits) + "-bit MODP, " + out[i].what;
+      }
+    }
+    return out;
+  }();
+  return cases;
+}
+
+class MontKernelOracleTest : public ::testing::TestWithParam<MontKernel> {
+ protected:
+  void SetUp() override {
+    if (!MontgomeryContext::KernelAvailable(GetParam())) {
+      GTEST_SKIP() << "this CPU lacks BMI2 or ADX, which the " << MontKernelName(GetParam())
+                   << " kernel needs";
+    }
+  }
+};
+
+TEST_P(MontKernelOracleTest, ModpGroupsEdgeBasesAndExponents) {
+  for (const ModExpCase& c : ModpCases()) {
+    auto ctx = MontgomeryContext::CreateWithKernel(c.modulus, GetParam());
+    ASSERT_TRUE(ctx.ok()) << ctx.status().ToString();
+    ASSERT_EQ(ctx->kernel(), GetParam());
+    EXPECT_EQ(ctx->ModExp(c.base, c.exponent), c.expected) << c.what;
+  }
+}
+
+// Random odd moduli of 1-65 lanes (the ADX kernel serves exactly 12, 16, 24
+// and 32 lanes and must refuse the rest), plus 2^(64 lanes) - 1, whose all-ones lanes make
+// every carry chain run full length. Checks ModExp with edge bases, and the
+// multiply and square kernels directly against a * b * R^-1 mod n.
+TEST_P(MontKernelOracleTest, RandomOddModuliOneToSixtyFiveLanes) {
+  const MontKernel kernel = GetParam();
+  Rng rng(6007 + static_cast<uint64_t>(kernel));
+  const BigUint one(1);
+  std::set<size_t> served;
+  for (size_t lanes = 1; lanes <= 65; ++lanes) {
+    const BigUint r = one.ShiftLeft(64 * lanes);
+    BigUint random_modulus = RandomWithBits(64 * lanes, rng);
+    if (!random_modulus.IsOdd()) {
+      random_modulus = random_modulus.Add(one);
+    }
+    for (const BigUint& n : {random_modulus, r.Sub(one)}) {
+      auto ctx = MontgomeryContext::CreateWithKernel(n, kernel);
+      if (!ctx.ok()) {
+        continue;
+      }
+      ASSERT_EQ(ctx->lanes(), lanes);
+      served.insert(lanes);
+      const BigUint exponent = RandomWithBits(1 + rng.NextBelow(160), rng);
+      const BigUint n_minus_1 = n.Sub(one);
+      for (const BigUint& base : {BigUint(), one, n_minus_1, n.Add(RandomBelow(n, rng)),
+                                  RandomBelow(n, rng)}) {
+        EXPECT_EQ(ctx->ModExp(base, exponent), OracleModExp(base, exponent, n))
+            << lanes << " lanes, base " << base.ToHex();
+      }
+      const BigUint r_inv = ModInverse(r.Mod(n), n).value();
+      const BigUint a = RandomBelow(n, rng);
+      const BigUint b = RandomBelow(n, rng);
+      std::vector<uint64_t> out(lanes);
+      for (const auto& [x, y] : {std::pair{a, b}, std::pair{n_minus_1, n_minus_1}}) {
+        ctx->MulLanes(out.data(), ToLanes(x, lanes).data(), ToLanes(y, lanes).data());
+        EXPECT_EQ(FromLanes(out), x.Mul(y).Mul(r_inv).Mod(n)) << lanes << " lanes, mul";
+        ctx->SqrLanes(out.data(), ToLanes(x, lanes).data());
+        EXPECT_EQ(FromLanes(out), x.Mul(x).Mul(r_inv).Mod(n)) << lanes << " lanes, sqr";
+      }
+    }
+  }
+  std::set<size_t> expected = {12, 16, 24, 32};
+  if (kernel == MontKernel::kRuntime) {
+    expected.clear();
+    for (size_t lanes = 1; lanes <= 65; ++lanes) {
+      expected.insert(lanes);
+    }
+  }
+  EXPECT_EQ(served, expected);
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernels, MontKernelOracleTest,
+                         ::testing::Values(MontKernel::kRuntime, MontKernel::kAdx),
+                         [](const ::testing::TestParamInfo<MontKernel>& info) {
+                           return std::string(MontKernelName(info.param));
+                         });
+
+// Create() dispatches the MODP sizes to the ADX kernel where the CPU has it
+// and everything else to the runtime-size loop.
+TEST(MontKernelDispatchTest, PicksFixedKernelsForModpSizes) {
+  const MontKernel fixed = MontgomeryContext::KernelAvailable(MontKernel::kAdx)
+                               ? MontKernel::kAdx
+                               : MontKernel::kRuntime;
+  for (size_t bits : {768, 1024, 1536, 2048}) {
+    auto ctx = MontgomeryContext::Create(WellKnownSafePrime(bits).value());
+    ASSERT_TRUE(ctx.ok());
+    EXPECT_EQ(ctx->kernel(), fixed) << bits;
+  }
+  auto small = MontgomeryContext::Create(BigUint(1000000007));
+  ASSERT_TRUE(small.ok());
+  EXPECT_EQ(small->kernel(), MontKernel::kRuntime);
+}
+
+// --- Pooled P-SOP hops against a serial reference ---
+
+// The pooled per-element crypto writes element i's ciphertext at index i:
+// it equals a serial loop over the oracle, element for element. Empty and
+// one-element parties take the inline path.
+TEST(PsopHopTest, PooledCryptoMatchesSerialOracle) {
+  auto group = CommutativeGroup::CreateWellKnown(768);
+  ASSERT_TRUE(group.ok());
+  Rng rng(17);
+  auto key = CommutativeKey::Generate(*group, rng);
+  ASSERT_TRUE(key.ok());
+  for (int count : {0, 1, 37}) {  // 37: several pool chunks, uneven tail
+    std::vector<std::string> elements;
+    for (int i = 0; i < count; ++i) {
+      elements.push_back("pkg:" + std::to_string(i));
+    }
+    std::vector<BigUint> pooled = HashAndEncrypt(*group, *key, elements, HashAlgorithm::kSha256);
+    ASSERT_EQ(pooled.size(), elements.size());
+    std::vector<BigUint> serial;
+    for (const std::string& element : elements) {
+      serial.push_back(OracleModExp(group->HashToElement(element, HashAlgorithm::kSha256),
+                                    key->exponent(), group->p()));
+    }
+    EXPECT_EQ(pooled, serial) << count << " elements";
+    EncryptInPlace(*group, *key, pooled);
+    for (size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_EQ(pooled[i], OracleModExp(serial[i], key->exponent(), group->p()))
+          << count << " elements, " << i;
+    }
+  }
+}
+
+// A seeded 3-party RunPsop (768-bit group, about 10 elements per party,
+// with duplicates) against a reference the test computes serially: the
+// parties' keys drawn as RunPsop draws them, each element hashed and then
+// encrypted with the oracle in ring order. The counts follow from the
+// reference ciphertexts; PartyStats encrypt_ops and bytes are exactly the
+// protocol's.
+TEST(PsopHopTest, RingMatchesSerialReference) {
+  const std::vector<std::vector<std::string>> datasets = {
+      {"a", "b", "c", "d", "e", "f", "g", "h", "i", "a"},
+      {"a", "c", "e", "g", "i", "k", "m", "o", "q", "a", "s"},
+      {"a", "b", "e", "f", "i", "j", "m", "n", "a"}};
+  const size_t k = datasets.size();
+  PsopOptions options;
+  options.group_bits = 768;
+  options.seed = 23;
+  auto result = RunPsop(datasets, options);
+  ASSERT_TRUE(result.ok());
+
+  auto group = CommutativeGroup::CreateWellKnown(768);
+  ASSERT_TRUE(group.ok());
+  Rng rng(options.seed);
+  std::vector<BigUint> exponents;
+  for (size_t i = 0; i < k; ++i) {
+    auto key = CommutativeKey::Generate(*group, rng);
+    ASSERT_TRUE(key.ok());
+    exponents.push_back(key->exponent());
+  }
+  std::map<std::string, std::set<size_t>> holders;  // ciphertext -> origins
+  size_t total = 0;
+  for (size_t origin = 0; origin < k; ++origin) {
+    for (const std::string& element : DisambiguateMultiset(datasets[origin])) {
+      BigUint c = group->HashToElement(element, options.hash);
+      for (size_t hop = 0; hop < k; ++hop) {
+        c = OracleModExp(c, exponents[(origin + hop) % k], group->p());
+      }
+      holders[c.ToHex()].insert(origin);
+      ++total;
+    }
+  }
+  size_t intersection = 0;
+  for (const auto& [ciphertext, origins] : holders) {
+    intersection += origins.size() == k ? 1 : 0;
+  }
+  EXPECT_EQ(result->union_size, holders.size());
+  EXPECT_EQ(result->intersection, intersection);
+  EXPECT_EQ(result->intersection, 4u);  // a||1, a||2, e||1, i||1
+  const size_t element_bytes = 768 / 8;
+  ASSERT_EQ(result->party_stats.size(), k);
+  for (size_t p = 0; p < k; ++p) {
+    const PartyStats& stats = result->party_stats[p];
+    const size_t own = datasets[p].size();
+    EXPECT_EQ(stats.encrypt_ops, total) << p;  // every dataset once
+    EXPECT_EQ(stats.bytes_sent, (total + (k - 1) * own) * element_bytes) << p;
+    EXPECT_EQ(stats.bytes_received, (total + total - own) * element_bytes) << p;
+  }
+}
 
 // --- P-SOP agrees with plaintext Jaccard, swept over party counts ---
 
