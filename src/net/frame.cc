@@ -264,32 +264,56 @@ Result<FrameHeader> DecodeFrameHeader(std::string_view bytes, const FrameLimits&
   return header;
 }
 
+namespace {
+
+// Decodes each extension `header` announces, in flag-bit order, from the
+// bytes that follow the header.
+Status DecodeExtensionsInto(const FrameHeader& header, std::string_view extensions,
+                            Frame* frame) {
+  if (extensions.size() != header.extension_bytes()) {
+    return ProtocolError(StrFormat("frame extensions are %zu bytes, want %zu", extensions.size(),
+                                   header.extension_bytes()));
+  }
+  auto next = [&](size_t size) {
+    std::string_view bytes = extensions.substr(0, size);
+    extensions.remove_prefix(size);
+    return bytes;
+  };
+  if (header.has_trace_context) {
+    INDAAS_ASSIGN_OR_RETURN(frame->trace, DecodeTraceContext(next(kTraceContextBytes)));
+  }
+  if (header.has_request_id) {
+    INDAAS_ASSIGN_OR_RETURN(frame->request_id, DecodeRequestId(next(kRequestIdBytes)));
+  }
+  if (header.has_sketch_params) {
+    INDAAS_ASSIGN_OR_RETURN(frame->sketch, DecodeSketchParams(next(kSketchParamsBytes)));
+  }
+  if (header.has_ring_membership) {
+    INDAAS_ASSIGN_OR_RETURN(frame->ring, DecodeRingMembership(next(kRingMembershipBytes)));
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
+Result<Frame> DecodeFrameExtensions(const FrameHeader& header, std::string_view extensions) {
+  Frame frame;
+  frame.type = header.type;
+  frame.wire_bytes = header.total_bytes();
+  if (Status status = DecodeExtensionsInto(header, extensions, &frame); !status.ok()) {
+    FrameRejects()->Increment();
+    return status;
+  }
+  return frame;
+}
+
 Result<Frame> ReadFrame(Socket& socket, const FrameLimits& limits, int timeout_ms) {
   std::string raw;
   INDAAS_RETURN_IF_ERROR(socket.RecvAll(&raw, kFrameHeaderBytes, timeout_ms));
   INDAAS_ASSIGN_OR_RETURN(FrameHeader header, DecodeFrameHeader(raw, limits));
-  Frame frame;
-  frame.type = header.type;
-  if (header.has_trace_context) {
-    std::string ext;
-    INDAAS_RETURN_IF_ERROR(socket.RecvAll(&ext, kTraceContextBytes, timeout_ms));
-    INDAAS_ASSIGN_OR_RETURN(frame.trace, DecodeTraceContext(ext));
-  }
-  if (header.has_request_id) {
-    std::string ext;
-    INDAAS_RETURN_IF_ERROR(socket.RecvAll(&ext, kRequestIdBytes, timeout_ms));
-    INDAAS_ASSIGN_OR_RETURN(frame.request_id, DecodeRequestId(ext));
-  }
-  if (header.has_sketch_params) {
-    std::string ext;
-    INDAAS_RETURN_IF_ERROR(socket.RecvAll(&ext, kSketchParamsBytes, timeout_ms));
-    INDAAS_ASSIGN_OR_RETURN(frame.sketch, DecodeSketchParams(ext));
-  }
-  if (header.has_ring_membership) {
-    std::string ext;
-    INDAAS_RETURN_IF_ERROR(socket.RecvAll(&ext, kRingMembershipBytes, timeout_ms));
-    INDAAS_ASSIGN_OR_RETURN(frame.ring, DecodeRingMembership(ext));
-  }
+  std::string extensions;
+  INDAAS_RETURN_IF_ERROR(socket.RecvAll(&extensions, header.extension_bytes(), timeout_ms));
+  INDAAS_ASSIGN_OR_RETURN(Frame frame, DecodeFrameExtensions(header, extensions));
   INDAAS_RETURN_IF_ERROR(socket.RecvAll(&frame.payload, header.payload_size, timeout_ms));
   FramesRecv()->Increment();
   return frame;

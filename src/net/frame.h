@@ -137,6 +137,8 @@ struct Frame {
   // Degraded-ring membership carried by the ring-membership extension;
   // !valid() when the frame had none (a pristine, full ring).
   FrameRingMembership ring;
+  // Size on the wire: header + extensions + payload.
+  size_t wire_bytes = 0;
 };
 
 // Serializes the header for `type`/`payload_size` (testing seam; WriteFrame
@@ -205,8 +207,16 @@ struct FrameHeader {
 
 // Validates a raw kFrameHeaderBytes-byte header against `limits`. Shared by
 // ReadFrame and multiplexing callers that assemble frames from non-blocking
-// reads (the PIA ring pump).
+// reads (the reactor, the PIA ring pump).
 Result<FrameHeader> DecodeFrameHeader(std::string_view bytes, const FrameLimits& limits);
+
+// Starts the Frame that `header` announces: sets its type and wire size and
+// decodes every extension from `extensions`, the header.extension_bytes()
+// bytes that follow the header, in wire order. ReadFrame, the reactor and
+// the PIA ring pump all decode extensions here. A malformed extension is
+// kProtocolError. Like DecodeFrameHeader, a rejection is counted once in
+// net.frames_rejected, so callers never count it themselves.
+Result<Frame> DecodeFrameExtensions(const FrameHeader& header, std::string_view extensions);
 
 // Serializes a whole frame (header + extensions + payload) into one buffer.
 // Used by the reactor's buffered write path, which batches several frames
@@ -226,8 +236,8 @@ Status WriteFrame(Socket& socket, uint8_t type, std::string_view payload, int ti
                   const FrameRingMembership& ring = {});
 
 // Reads and validates one frame. The timeout applies to each socket wait,
-// so a total stall is bounded by timeout_ms per phase (header, optional
-// extensions, payload).
+// so a total stall is bounded by timeout_ms per phase (header, extensions,
+// payload).
 Result<Frame> ReadFrame(Socket& socket, const FrameLimits& limits, int timeout_ms);
 
 }  // namespace net

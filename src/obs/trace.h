@@ -3,7 +3,7 @@
 // A span covers one pipeline stage: it records its name, wall-clock start
 // and duration, the recording thread, and its parent span (the innermost
 // enclosing span on the same thread), forming a per-thread span tree.
-// Spans carry optional key=value annotations ("engine=bitset", "groups=294").
+// Spans carry optional key=value annotations ("method=bdd", "groups=294").
 //
 // Recording is off by default: a disabled ScopedSpan is two relaxed loads
 // and no clock read, so instrumented hot paths are free when nobody is
@@ -18,7 +18,7 @@
 // Usage:
 //   INDAAS_TRACE_SPAN("sia.enumerate");            // anonymous, scope-wide
 //   INDAAS_TRACE_SPAN_NAMED(span, "sia.rank");     // named, for Annotate()
-//   span.Annotate("engine", "bitset");
+//   span.Annotate("method", "bdd");
 
 #ifndef SRC_OBS_TRACE_H_
 #define SRC_OBS_TRACE_H_

@@ -1,7 +1,9 @@
 #include "src/sia/risk_groups.h"
 
 #include <algorithm>
+#include <set>
 
+#include "src/graph/bdd.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/sia/cutset.h"
@@ -12,11 +14,10 @@ namespace indaas {
 namespace {
 
 // Engine-level counters (DESIGN.md §6), bumped once per batch operation.
+// AbsorbMinimal (cutset.cc) counts sia.cutsets.deduped / .absorbed.
 struct CutSetMetrics {
   obs::Counter* generated;   // AND products kept (within the size bound)
   obs::Counter* size_pruned; // products dropped by max_rg_size
-  obs::Counter* deduped;     // exact duplicates removed (vector engine)
-  obs::Counter* absorbed;    // rows absorbed by a subset (vector engine)
 };
 
 CutSetMetrics& Metrics() {
@@ -25,8 +26,6 @@ CutSetMetrics& Metrics() {
     return CutSetMetrics{
         registry.GetCounter("sia.cutsets.generated"),
         registry.GetCounter("sia.cutsets.size_pruned"),
-        registry.GetCounter("sia.cutsets.deduped"),
-        registry.GetCounter("sia.cutsets.absorbed"),
     };
   }();
   return metrics;
@@ -43,8 +42,8 @@ bool IsSubsetOf(const RiskGroup& a, const RiskGroup& b) {
 
 namespace {
 
-// Canonical output order shared by both engines: size ascending, then
-// lexicographic — the contract documented on MinimizeRiskGroups.
+// Canonical output order: size ascending, then lexicographic — the contract
+// documented on MinimizeRiskGroups.
 void SortGroups(std::vector<RiskGroup>& groups) {
   std::sort(groups.begin(), groups.end(), [](const RiskGroup& a, const RiskGroup& b) {
     if (a.size() != b.size()) {
@@ -54,187 +53,12 @@ void SortGroups(std::vector<RiskGroup>& groups) {
   });
 }
 
-// ===========================================================================
-// Legacy vector engine (RgEngine::kVector): sorted std::vector<NodeId> cut
-// sets, std::set_union products, pairwise std::includes absorption. Kept
-// verbatim as the parity baseline for the bitset engine and as the reference
-// implementation the property tests compare against.
-// ===========================================================================
-
-std::vector<RiskGroup> MinimizeRiskGroupsVector(std::vector<RiskGroup> groups) {
-  const size_t before_dedup = groups.size();
-  SortGroups(groups);
-  groups.erase(std::unique(groups.begin(), groups.end()), groups.end());
-  Metrics().deduped->Add(before_dedup - groups.size());
-  const size_t after_dedup = groups.size();
-  std::vector<RiskGroup> minimal;
-  for (RiskGroup& candidate : groups) {
-    bool absorbed = false;
-    // `minimal` is size-ascending (candidates arrive in size order); only
-    // strictly smaller groups can be proper subsets, and equal-size
-    // duplicates were removed above — so stop at the first same-size entry.
-    for (const RiskGroup& kept : minimal) {
-      if (kept.size() >= candidate.size()) {
-        break;
-      }
-      if (IsSubsetOf(kept, candidate)) {
-        absorbed = true;
-        break;
-      }
-    }
-    if (!absorbed) {
-      minimal.push_back(std::move(candidate));
-    }
-  }
-  Metrics().absorbed->Add(after_dedup - minimal.size());
-  return minimal;
-}
-
-// Merges two sorted id sets (set union).
-RiskGroup UnionOf(const RiskGroup& a, const RiskGroup& b) {
-  RiskGroup out;
-  out.reserve(a.size() + b.size());
-  std::set_union(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(out));
-  return out;
-}
-
-// Cartesian combination for AND gates: every union of one cut set from each
-// side, pruned by max size and (optionally) absorption. Sets *pruned when a
-// product exceeds the size bound.
-Result<std::vector<RiskGroup>> CombineAnd(const std::vector<RiskGroup>& lhs,
-                                          const std::vector<RiskGroup>& rhs,
-                                          const MinimalRgOptions& options, bool* pruned) {
-  std::vector<RiskGroup> out;
-  if (lhs.size() * rhs.size() > 0 &&
-      lhs.size() > options.max_cut_sets_per_node / std::max<size_t>(rhs.size(), 1)) {
-    return ResourceExhaustedError(
-        StrFormat("minimal RG analysis exceeded cut-set budget (%zu x %zu products)", lhs.size(),
-                  rhs.size()));
-  }
-  out.reserve(lhs.size() * rhs.size());
-  for (const RiskGroup& a : lhs) {
-    for (const RiskGroup& b : rhs) {
-      RiskGroup merged = UnionOf(a, b);
-      if (merged.size() <= options.max_rg_size) {
-        out.push_back(std::move(merged));
-      } else {
-        *pruned = true;
-      }
-    }
-  }
-  Metrics().generated->Add(out.size());
-  Metrics().size_pruned->Add(lhs.size() * rhs.size() - out.size());
-  if (options.inline_absorption) {
-    out = MinimizeRiskGroupsVector(std::move(out));
-  }
-  return out;
-}
-
-Result<MinimalRgResult> ComputeMinimalRiskGroupsVector(const FaultGraph& graph,
-                                                       const MinimalRgOptions& options) {
-  MinimalRgResult result;
-  // Per-node cut set lists, built in topological (children-first) order.
-  std::vector<std::vector<RiskGroup>> cut_sets(graph.NodeCount());
-  for (NodeId id : graph.TopologicalOrder()) {
-    const FaultNode& node = graph.node(id);
-    std::vector<RiskGroup>& mine = cut_sets[id];
-    switch (node.gate) {
-      case GateType::kBasic:
-        mine.push_back(RiskGroup{id});
-        break;
-      case GateType::kOr: {
-        for (NodeId child : node.children) {
-          mine.insert(mine.end(), cut_sets[child].begin(), cut_sets[child].end());
-        }
-        if (options.inline_absorption) {
-          mine = MinimizeRiskGroupsVector(std::move(mine));
-        }
-        break;
-      }
-      case GateType::kAnd: {
-        bool first = true;
-        for (NodeId child : node.children) {
-          if (first) {
-            mine = cut_sets[child];
-            first = false;
-          } else {
-            INDAAS_ASSIGN_OR_RETURN(
-                mine, CombineAnd(mine, cut_sets[child], options, &result.size_bounded));
-          }
-          if (mine.empty()) {
-            // All products exceeded the size bound: no cut sets within bound.
-            result.size_bounded = true;
-            break;
-          }
-        }
-        break;
-      }
-      case GateType::kKofN: {
-        // Cut sets of a k-of-n gate: for every k-subset of children, the AND
-        // combination of their cut sets; union over subsets.
-        std::vector<RiskGroup> acc;
-        const size_t n = node.children.size();
-        const uint32_t k = node.k;
-        std::vector<size_t> pick(k);
-        for (uint32_t i = 0; i < k; ++i) {
-          pick[i] = i;
-        }
-        for (;;) {
-          std::vector<RiskGroup> product = cut_sets[node.children[pick[0]]];
-          for (uint32_t i = 1; i < k && !product.empty(); ++i) {
-            INDAAS_ASSIGN_OR_RETURN(product,
-                                    CombineAnd(product, cut_sets[node.children[pick[i]]], options,
-                                               &result.size_bounded));
-          }
-          acc.insert(acc.end(), product.begin(), product.end());
-          // Next k-combination.
-          int pos = static_cast<int>(k) - 1;
-          while (pos >= 0 && pick[pos] == n - k + static_cast<size_t>(pos)) {
-            --pos;
-          }
-          if (pos < 0) {
-            break;
-          }
-          ++pick[pos];
-          for (size_t i = static_cast<size_t>(pos) + 1; i < k; ++i) {
-            pick[i] = pick[i - 1] + 1;
-          }
-        }
-        mine = options.inline_absorption ? MinimizeRiskGroupsVector(std::move(acc))
-                                         : std::move(acc);
-        break;
-      }
-    }
-    if (mine.size() > options.max_cut_sets_per_node) {
-      return ResourceExhaustedError(
-          StrFormat("node '%s' accumulated %zu cut sets (budget %zu)", node.name.c_str(),
-                    mine.size(), options.max_cut_sets_per_node));
-    }
-    if (options.max_rg_size != SIZE_MAX) {
-      size_t before = mine.size();
-      mine.erase(std::remove_if(mine.begin(), mine.end(),
-                                [&](const RiskGroup& rg) {
-                                  return rg.size() > options.max_rg_size;
-                                }),
-                 mine.end());
-      if (mine.size() != before) {
-        result.size_bounded = true;
-      }
-    }
-  }
-  result.groups = MinimizeRiskGroupsVector(std::move(cut_sets[graph.top_event()]));
-  return result;
-}
-
-// ===========================================================================
-// Bitset engine (RgEngine::kBitset): fixed-stride uint64_t rows over the
-// basic events (src/sia/cutset.h), arena storage, hash dedup +
-// bucket-by-popcount absorption, and sharding of large AND products and
-// absorption levels on the shared ComputePool(). Byte-identical results to
-// the vector engine: the surviving minimal set is unique, shards merge in
-// chunk order, and the public RiskGroup form is canonically sorted at the
-// API boundary.
-// ===========================================================================
+// The cut-set engine: fixed-stride uint64_t rows over the basic events
+// (src/sia/cutset.h), arena storage, hash dedup + bucket-by-popcount
+// absorption, and sharding of large AND products and absorption levels on
+// the shared ComputePool(). Output is byte-identical for every thread
+// count: the surviving minimal set is unique, shards merge in chunk order,
+// and the public RiskGroup form is canonically sorted at the API boundary.
 
 // Products per shard of a parallel AND-product sweep. Fixed (never derived
 // from the worker count) so shard boundaries — and thus the merged row
@@ -245,10 +69,11 @@ constexpr size_t kProductGrain = 1024;
 // never touch — or start — the pool.
 constexpr size_t kMinParallelProducts = 4096;
 
-// Cartesian AND product over bitset rows; same budget / size-bound semantics
-// as the vector CombineAnd. Flat product index t maps to (t / |rhs|,
-// t % |rhs|), so the sequential append order and the shard-merged order are
-// the same sequence.
+// Cartesian AND product over bitset rows: every union of one row from each
+// side, dropping products larger than max_rg_size (and setting *pruned).
+// Fails with kResourceExhausted past the cut-set budget. Flat product index
+// t maps to (t / |rhs|, t % |rhs|), so the sequential append order and the
+// shard-merged order are the same sequence.
 Status CombineAndBitset(const CutSetArena& lhs, const CutSetArena& rhs,
                         const MinimalRgOptions& options, CutSetArena* out, bool* pruned) {
   const size_t stride = lhs.stride();
@@ -309,7 +134,7 @@ Status CombineAndBitset(const CutSetArena& lhs, const CutSetArena& rhs,
   return Status::Ok();
 }
 
-Result<MinimalRgResult> ComputeMinimalRiskGroupsBitset(const FaultGraph& graph,
+Result<MinimalRgResult> EnumerateMinimalRiskGroups(const FaultGraph& graph,
                                                        const MinimalRgOptions& options) {
   MinimalRgResult result;
   EventIndex index(graph);
@@ -441,16 +266,9 @@ Result<MinimalRgResult> ComputeMinimalRiskGroupsBitset(const FaultGraph& graph,
   return result;
 }
 
-// MinimizeRiskGroups inputs above this size take the bitset path; below it
-// the remap overhead outweighs the word-parallel wins.
-constexpr size_t kMinBitsetMinimize = 16;
-
 }  // namespace
 
 std::vector<RiskGroup> MinimizeRiskGroups(std::vector<RiskGroup> groups) {
-  if (groups.size() <= kMinBitsetMinimize) {
-    return MinimizeRiskGroupsVector(std::move(groups));
-  }
   // Remap the distinct ids to dense bits, absorb word-wise, map back. The
   // sorted id universe keeps bit order == id order, so extracted groups come
   // out sorted.
@@ -500,16 +318,7 @@ Result<MinimalRgResult> ComputeMinimalRiskGroups(const FaultGraph& graph,
     return FailedPreconditionError("ComputeMinimalRiskGroups: graph not validated");
   }
   INDAAS_TRACE_SPAN_NAMED(span, "sia.enumerate");
-  span.Annotate("engine", options.engine == RgEngine::kBitset ? "bitset" : "vector");
-  Result<MinimalRgResult> result = InternalError("ComputeMinimalRiskGroups: unknown engine");
-  switch (options.engine) {
-    case RgEngine::kBitset:
-      result = ComputeMinimalRiskGroupsBitset(graph, options);
-      break;
-    case RgEngine::kVector:
-      result = ComputeMinimalRiskGroupsVector(graph, options);
-      break;
-  }
+  Result<MinimalRgResult> result = EnumerateMinimalRiskGroups(graph, options);
   if (result.ok()) {
     span.Annotate("groups", std::to_string(result->groups.size()));
   }
@@ -541,6 +350,54 @@ bool IsMinimalRiskGroup(const FaultGraph& graph, const RiskGroup& group) {
     }
   }
   return true;
+}
+
+Result<size_t> CheckMinimalRiskGroups(const FaultGraph& graph,
+                                      const std::vector<RiskGroup>& groups,
+                                      size_t max_bdd_nodes) {
+  INDAAS_ASSIGN_OR_RETURN(CompiledFaultGraph compiled,
+                          CompileFaultGraph(graph, /*default_prob=*/0.5, max_bdd_nodes));
+  BddManager& manager = *compiled.manager;
+  constexpr uint32_t kNotBasic = UINT32_MAX;
+  std::vector<uint32_t> var_of(graph.NodeCount(), kNotBasic);
+  for (size_t var = 0; var < compiled.variable_order.size(); ++var) {
+    var_of[compiled.variable_order[var]] = static_cast<uint32_t>(var);
+  }
+  std::set<RiskGroup> seen;
+  BddRef any_group = kBddFalse;
+  for (size_t i = 0; i < groups.size(); ++i) {
+    const RiskGroup& group = groups[i];
+    for (size_t j = 0; j < group.size(); ++j) {
+      if (group[j] >= graph.NodeCount() || var_of[group[j]] == kNotBasic) {
+        return InternalError(StrFormat("risk group %zu: node %u is not a basic event", i,
+                                       static_cast<unsigned>(group[j])));
+      }
+      if (j > 0 && group[j - 1] >= group[j]) {
+        return InternalError(StrFormat("risk group %zu is not strictly ascending", i));
+      }
+    }
+    if (!seen.insert(group).second) {
+      return InternalError(StrFormat("risk group %zu repeats an earlier group", i));
+    }
+    if (!IsMinimalRiskGroup(graph, group)) {
+      return InternalError(StrFormat("risk group %zu is not a minimal risk group", i));
+    }
+    // AND over the group's events, built from the highest variable down so
+    // every step only adds one node on top.
+    BddRef all_events = kBddTrue;
+    for (auto it = group.rbegin(); it != group.rend(); ++it) {
+      INDAAS_ASSIGN_OR_RETURN(BddRef var, manager.Var(var_of[*it]));
+      INDAAS_ASSIGN_OR_RETURN(all_events, manager.And(var, all_events));
+    }
+    INDAAS_ASSIGN_OR_RETURN(any_group, manager.Or(any_group, all_events));
+  }
+  if (any_group != compiled.root) {
+    return InternalError(
+        StrFormat("the %zu risk groups do not fail the top event exactly when the fault graph "
+                  "does: a minimal risk group is missing",
+                  groups.size()));
+  }
+  return manager.NodeCount();
 }
 
 }  // namespace indaas

@@ -6,7 +6,14 @@
 //   * ComputeMinimalRiskGroups — exact bottom-up cut-set computation adapted
 //     from classic fault tree analysis; precise but NP-hard (exponential in
 //     the worst case). Supports size-bounded analysis and inline absorption.
+//     Cut sets are bitset rows over the basic events (src/sia/cutset.h);
+//     large stages shard on the shared compute pool (DESIGN.md §5).
 //   * SampleRiskGroups (sampling.h) — linear-time randomized detection.
+//
+// Two independent oracles check the exact engine (DESIGN.md §5): brute-force
+// enumeration on small graphs (tests/property_test.cc), and, at fat-tree
+// scale, CheckMinimalRiskGroups below, which compares the emitted list with
+// the ROBDD of the fault graph.
 
 #ifndef SRC_SIA_RISK_GROUPS_H_
 #define SRC_SIA_RISK_GROUPS_H_
@@ -29,19 +36,6 @@ bool IsSubsetOf(const RiskGroup& a, const RiskGroup& b);
 // The result is sorted by size, then lexicographically.
 std::vector<RiskGroup> MinimizeRiskGroups(std::vector<RiskGroup> groups);
 
-// Which cut-set representation drives the bottom-up computation. Both
-// engines produce byte-identical MinimalRgResults (property-tested); the
-// legacy vector engine is retained as the parity baseline and perf yardstick.
-enum class RgEngine : uint8_t {
-  // Fixed-stride uint64_t bitsets over the basic events, arena-allocated,
-  // with hash dedup, bucket-by-popcount absorption, and optional sharding of
-  // AND products and absorption passes on the shared pool (DESIGN.md §5).
-  kBitset,
-  // Sorted std::vector<NodeId> per cut set, std::set_union products,
-  // pairwise std::includes absorption; single-threaded.
-  kVector,
-};
-
 struct MinimalRgOptions {
   // Cut sets larger than this are pruned during computation: the analysis is
   // then exact for all minimal RGs of size <= max_rg_size (size-bounded fault
@@ -54,8 +48,7 @@ struct MinimalRgOptions {
   // Apply absorption (subset pruning) after every combination step instead of
   // only at the end. Usually a large win; ablatable (DESIGN.md §4).
   bool inline_absorption = true;
-  RgEngine engine = RgEngine::kBitset;
-  // 1 = fully sequential. Any other value lets the bitset engine shard AND
+  // 1 = fully sequential. Any other value lets the engine shard AND
   // products and absorption levels on the shared ComputePool()
   // (util/thread_pool.h), but only for stages past a work threshold; small
   // graphs never touch the pool. Output is byte-identical either way.
@@ -79,6 +72,21 @@ bool IsMinimalRiskGroup(const FaultGraph& graph, const RiskGroup& group);
 
 // True if failing exactly `group` fails the top event.
 bool FailsTopEvent(const FaultGraph& graph, const RiskGroup& group);
+
+// Oracle for a complete (not size-bounded) minimal-RG list of the validated
+// graph, independent of the cut-set engine. It compiles the graph's
+// structure function into a ROBDD (CompileFaultGraph) and, in the same
+// manager and variable order, the OR over `groups` of the AND over each
+// group's events, and requires the two BDDs to be equal. It also requires
+// every group to be sorted, made of basic events, unique, and minimal
+// (IsMinimalRiskGroup). A monotone function has exactly one set of minimal
+// terms, so passing proves `groups` is exactly the set of minimal cut sets
+// (the check behind Rauzy's BDD minimal-solutions algorithm, RESS 40(3),
+// 1993). Returns the BDD node count; kInternal names the first fault found,
+// and kResourceExhausted means the BDD outgrew `max_bdd_nodes`.
+Result<size_t> CheckMinimalRiskGroups(const FaultGraph& graph,
+                                      const std::vector<RiskGroup>& groups,
+                                      size_t max_bdd_nodes = 4000000);
 
 }  // namespace indaas
 

@@ -32,38 +32,6 @@ constexpr int kAcceptSliceMs = 200;
 // between the probe connection and its own listener.
 constexpr int kProbeSliceMs = 10;
 
-// Assembles the full on-wire bytes of one frame (header [+ extensions]
-// + payload) for the pump, which needs the whole message up front to
-// interleave sends with receives.
-std::string FrameBytes(MsgType type, std::string_view payload,
-                       const obs::TraceContext& trace = {},
-                       const net::FrameSketchParams& sketch = {},
-                       const net::FrameRingMembership& ring = {}) {
-  uint16_t flags = 0;
-  if (trace.valid()) {
-    flags |= net::kFrameFlagTraceContext;
-  }
-  if (sketch.valid()) {
-    flags |= net::kFrameFlagSketchParams;
-  }
-  if (ring.valid()) {
-    flags |= net::kFrameFlagRingMembership;
-  }
-  std::string bytes = net::EncodeFrameHeader(static_cast<uint8_t>(type),
-                                             static_cast<uint32_t>(payload.size()), flags);
-  if (trace.valid()) {
-    bytes += net::EncodeTraceContext(trace);
-  }
-  if (sketch.valid()) {
-    bytes += net::EncodeSketchParams(sketch);
-  }
-  if (ring.valid()) {
-    bytes += net::EncodeRingMembership(ring);
-  }
-  bytes.append(payload.data(), payload.size());
-  return bytes;
-}
-
 uint32_t MembershipMask(const std::vector<uint32_t>& members) {
   uint32_t mask = 0;
   for (uint32_t index : members) {
@@ -91,41 +59,35 @@ obs::Counter* RingRecoveries() {
   return counter;
 }
 
+// The pump assembles frames itself, so it counts them by hand (ReadFrame
+// does this for blocking readers); net::EncodeFrame counts the sends.
+obs::Counter* FramesRecv() {
+  static obs::Counter* counter = obs::MetricsRegistry::Global().GetCounter("net.frames_recv");
+  return counter;
+}
+
 }  // namespace
 
 Result<net::Frame> ExchangeFrames(net::Socket& tx, std::string_view out_bytes,
                                   net::Socket& rx, const net::FrameLimits& limits,
                                   int timeout_ms) {
   size_t sent = 0;
-  std::string in_buffer;  // header, then extensions in order, then payload
+  std::string in_buffer;  // header, then its extensions, then the payload
   bool have_header = false;
-  bool have_trace = false;   // trace extension consumed (or absent)
-  bool have_reqid = false;   // request-id extension consumed (or absent)
-  bool have_sketch = false;  // sketch-params extension consumed (or absent)
-  bool have_ring = false;    // ring-membership extension consumed (or absent)
+  bool have_extensions = false;
   net::FrameHeader header;
   net::Frame frame;
   auto recv_target = [&]() -> size_t {
     if (!have_header) {
       return net::kFrameHeaderBytes;
     }
-    if (!have_trace) {
-      return net::kTraceContextBytes;
-    }
-    if (!have_reqid) {
-      return net::kRequestIdBytes;
-    }
-    if (!have_sketch) {
-      return net::kSketchParamsBytes;
-    }
-    if (!have_ring) {
-      return net::kRingMembershipBytes;
+    if (!have_extensions) {
+      return header.extension_bytes();
     }
     return header.payload_size;
   };
   auto recv_done = [&]() {
-    return have_header && have_trace && have_reqid && have_sketch && have_ring &&
-           in_buffer.size() >= header.payload_size;
+    return have_extensions && in_buffer.size() >= header.payload_size;
   };
   // Progress-based deadline: every byte moved in either direction resets
   // it. The clock matters because readiness is no guarantee of progress — a
@@ -182,30 +144,11 @@ Result<net::Frame> ExchangeFrames(net::Socket& tx, std::string_view out_bytes,
       if (!have_header && in_buffer.size() == net::kFrameHeaderBytes) {
         INDAAS_ASSIGN_OR_RETURN(header, net::DecodeFrameHeader(in_buffer, limits));
         have_header = true;
-        have_trace = !header.has_trace_context;
-        have_reqid = !header.has_request_id;
-        have_sketch = !header.has_sketch_params;
-        have_ring = !header.has_ring_membership;
         in_buffer.clear();
-      } else if (have_header && !have_trace &&
-                 in_buffer.size() == net::kTraceContextBytes) {
-        INDAAS_ASSIGN_OR_RETURN(frame.trace, net::DecodeTraceContext(in_buffer));
-        have_trace = true;
-        in_buffer.clear();
-      } else if (have_header && have_trace && !have_reqid &&
-                 in_buffer.size() == net::kRequestIdBytes) {
-        INDAAS_ASSIGN_OR_RETURN(frame.request_id, net::DecodeRequestId(in_buffer));
-        have_reqid = true;
-        in_buffer.clear();
-      } else if (have_header && have_trace && have_reqid && !have_sketch &&
-                 in_buffer.size() == net::kSketchParamsBytes) {
-        INDAAS_ASSIGN_OR_RETURN(frame.sketch, net::DecodeSketchParams(in_buffer));
-        have_sketch = true;
-        in_buffer.clear();
-      } else if (have_header && have_trace && have_reqid && have_sketch && !have_ring &&
-                 in_buffer.size() == net::kRingMembershipBytes) {
-        INDAAS_ASSIGN_OR_RETURN(frame.ring, net::DecodeRingMembership(in_buffer));
-        have_ring = true;
+      }
+      if (have_header && !have_extensions && in_buffer.size() == header.extension_bytes()) {
+        INDAAS_ASSIGN_OR_RETURN(frame, net::DecodeFrameExtensions(header, in_buffer));
+        have_extensions = true;
         in_buffer.clear();
       }
     }
@@ -217,8 +160,8 @@ Result<net::Frame> ExchangeFrames(net::Socket& tx, std::string_view out_bytes,
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   }
-  frame.type = header.type;
   frame.payload = std::move(in_buffer);
+  FramesRecv()->Increment();
   return frame;
 }
 
@@ -444,7 +387,8 @@ Result<PsopResult> PiaPeer::RunPsopAttempt(const std::vector<std::string>& datas
     out.origin = send_origin;
     out.element_bytes = static_cast<uint32_t>(element_bytes);
     out.elements = std::move(current);
-    std::string out_bytes = FrameBytes(type, EncodePsopDataset(out), session, {}, ring);
+    std::string out_bytes = net::EncodeFrame(static_cast<uint8_t>(type), EncodePsopDataset(out),
+                                             session, /*request_id=*/0, /*sketch=*/{}, ring);
     meter.AddBytesSent(out_bytes.size());
     INDAAS_ASSIGN_OR_RETURN(
         net::Frame frame, ExchangeFrames(tx, out_bytes, rx, options.limits,
@@ -461,7 +405,7 @@ Result<PsopResult> PiaPeer::RunPsopAttempt(const std::vector<std::string>& datas
       return ProtocolError("ring round: unexpected ring-membership extension on a pristine "
                            "ring");
     }
-    meter.AddBytesReceived(net::kFrameHeaderBytes + frame.payload.size());
+    meter.AddBytesReceived(frame.wire_bytes);
     INDAAS_ASSIGN_OR_RETURN(PsopDataset in, DecodePsopDataset(frame.payload));
     if (in.origin != expect_origin) {
       return ProtocolError(StrFormat("ring round got dataset of origin %u, want %u", in.origin,
@@ -807,7 +751,8 @@ Result<PsopResult> PiaPeer::RunPsopWithSketch(const std::vector<std::string>& da
       out.origin = send_origin;
       out.registers = std::move(current);
       std::string out_bytes =
-          FrameBytes(MsgType::kPsopSketch, EncodePsopSketch(out), session, geometry);
+          net::EncodeFrame(static_cast<uint8_t>(MsgType::kPsopSketch), EncodePsopSketch(out),
+                           session, /*request_id=*/0, geometry);
       meter.AddBytesSent(out_bytes.size());
       INDAAS_ASSIGN_OR_RETURN(
           net::Frame frame, ExchangeFrames(tx, out_bytes, rx, options.limits,
@@ -817,10 +762,7 @@ Result<PsopResult> PiaPeer::RunPsopWithSketch(const std::vector<std::string>& da
                                        frame.type,
                                        static_cast<uint8_t>(MsgType::kPsopSketch)));
       }
-      size_t received = net::kFrameHeaderBytes + frame.payload.size() +
-                        (frame.trace.valid() ? net::kTraceContextBytes : 0) +
-                        (frame.sketch.valid() ? net::kSketchParamsBytes : 0);
-      meter.AddBytesReceived(received);
+      meter.AddBytesReceived(frame.wire_bytes);
       if (!frame.sketch.valid() || frame.sketch != geometry) {
         return ProtocolError("sketch ring round: peer changed sketch geometry mid-session");
       }

@@ -154,17 +154,11 @@ obs::Gauge* ConnectionsActive() {
   return gauge;
 }
 
-// The reactor parses frames itself from its receive buffers, so it keeps
-// the frame-layer counters honest by hand (ReadFrame does this for
-// blocking readers).
+// The reactor assembles frames itself from its receive buffers, so it
+// counts received frames by hand (ReadFrame does this for blocking readers).
+// Rejected frames are counted by the frame-layer decoders.
 obs::Counter* FramesRecv() {
   static obs::Counter* counter = obs::MetricsRegistry::Global().GetCounter("net.frames_recv");
-  return counter;
-}
-
-obs::Counter* FramesRejected() {
-  static obs::Counter* counter =
-      obs::MetricsRegistry::Global().GetCounter("net.frames_rejected");
   return counter;
 }
 
@@ -466,46 +460,22 @@ struct AuditServer::Reactor {
       Result<net::FrameHeader> header =
           net::DecodeFrameHeader(view.substr(pos, net::kFrameHeaderBytes), limits);
       if (!header.ok()) {
-        INDAAS_SLOG(Warn, "svc.frame_rejected")
-            .Kv("conn", conn->id)
-            .Kv("error", header.status().ToString());
-        FramesRejected()->Increment();
-        CloseConn(shard, conn, /*count_drop=*/true);
+        RejectFrame(shard, conn, header.status());
         return;
       }
       if (view.size() - pos < header->total_bytes()) {
         break;  // partial frame: wait for more bytes (under the deadline)
       }
-      size_t offset = pos + net::kFrameHeaderBytes;
-      net::Frame frame;
-      frame.type = header->type;
-      if (header->has_trace_context) {
-        Result<obs::TraceContext> trace =
-            net::DecodeTraceContext(view.substr(offset, net::kTraceContextBytes));
-        if (!trace.ok()) {
-          FramesRejected()->Increment();
-          CloseConn(shard, conn, /*count_drop=*/true);
-          return;
-        }
-        frame.trace = *trace;
-        offset += net::kTraceContextBytes;
+      const size_t offset = pos + net::kFrameHeaderBytes;
+      Result<net::Frame> decoded =
+          net::DecodeFrameExtensions(*header, view.substr(offset, header->extension_bytes()));
+      if (!decoded.ok()) {
+        RejectFrame(shard, conn, decoded.status());
+        return;
       }
-      if (header->has_request_id) {
-        Result<uint64_t> id =
-            net::DecodeRequestId(view.substr(offset, net::kRequestIdBytes));
-        if (!id.ok()) {
-          INDAAS_SLOG(Warn, "svc.frame_rejected")
-              .Kv("conn", conn->id)
-              .Kv("error", id.status().ToString());
-          FramesRejected()->Increment();
-          CloseConn(shard, conn, /*count_drop=*/true);
-          return;
-        }
-        frame.request_id = *id;
-        offset += net::kRequestIdBytes;
-      }
-      frame.payload.assign(view.substr(offset, header->payload_size));
-      pos = offset + header->payload_size;
+      net::Frame frame = std::move(*decoded);
+      frame.payload.assign(view.substr(offset + header->extension_bytes(), header->payload_size));
+      pos += header->total_bytes();
       FramesRecv()->Increment();
       const uint64_t frame_start_us = conn->in_since_us;
       conn->in_since_us = obs::TraceNowMicros();  // remaining bytes = next frame
@@ -521,6 +491,12 @@ struct AuditServer::Reactor {
     } else {
       DisarmReadDeadline(shard, conn);
     }
+  }
+
+  // Logs a malformed frame and drops its connection.
+  void RejectFrame(Shard* shard, const std::shared_ptr<Conn>& conn, const Status& error) {
+    INDAAS_SLOG(Warn, "svc.frame_rejected").Kv("conn", conn->id).Kv("error", error.ToString());
+    CloseConn(shard, conn, /*count_drop=*/true);
   }
 
   void DispatchFrame(Shard* shard, const std::shared_ptr<Conn>& conn, net::Frame frame,

@@ -1,4 +1,5 @@
-// Tests for the ROBDD engine and exact top-event probability computation.
+// Tests for the ROBDD engine, exact top-event probability computation, and
+// the BDD oracle for minimal risk groups (CheckMinimalRiskGroups).
 
 #include <gtest/gtest.h>
 
@@ -215,6 +216,86 @@ TEST(BddTest, KofNGateSemantics) {
 TEST(BddTest, RequiresValidatedGraph) {
   FaultGraph graph;
   EXPECT_FALSE(TopEventProbabilityBdd(graph, 0.1).ok());
+}
+
+// --- The BDD oracle for minimal risk groups ---
+
+// Random DAGs with up to 40 basic events: past what brute-force enumeration
+// can check, the engine's groups must still pass the oracle.
+class RgBddOracleTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(RgBddOracleTest, EngineGroupsPassOnLargeRandomGraphs) {
+  Rng rng(GetParam() * 7727);
+  size_t checked = 0;
+  for (int trial = 0; trial < 10; ++trial) {
+    FaultGraph graph = RandomGraph(rng, 12 + rng.NextBelow(29), 6 + rng.NextBelow(15));
+    MinimalRgOptions options;
+    options.max_cut_sets_per_node = 200000;
+    auto groups = ComputeMinimalRiskGroups(graph, options);
+    if (!groups.ok()) {
+      ASSERT_EQ(groups.status().code(), StatusCode::kResourceExhausted);
+      continue;
+    }
+    auto oracle = CheckMinimalRiskGroups(graph, groups->groups);
+    EXPECT_TRUE(oracle.ok()) << "seed " << GetParam() << " trial " << trial << ": "
+                             << oracle.status().ToString();
+    ++checked;
+  }
+  EXPECT_GE(checked, 5u) << "most graphs outgrew the cut-set budget";
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RgBddOracleTest, ::testing::Range<uint64_t>(1, 9));
+
+// Each way a list can be wrong is caught: a missing group, a non-minimal or
+// non-failing group, a repeat, an unsorted group and a node that is not a
+// basic event.
+TEST(RgBddOracleTest, RejectsEveryKindOfWrongList) {
+  // top = OR(AND(a, b), AND(b, c), d): minimal groups {d}, {a,b}, {b,c}.
+  FaultGraph graph;
+  NodeId a = graph.AddBasicEvent("a");
+  NodeId b = graph.AddBasicEvent("b");
+  NodeId c = graph.AddBasicEvent("c");
+  NodeId d = graph.AddBasicEvent("d");
+  NodeId ab = graph.AddGate("ab", GateType::kAnd, {a, b});
+  NodeId bc = graph.AddGate("bc", GateType::kAnd, {b, c});
+  NodeId top = graph.AddGate("top", GateType::kOr, {ab, bc, d});
+  graph.SetTopEvent(top);
+  ASSERT_TRUE(graph.Validate().ok());
+  auto result = ComputeMinimalRiskGroups(graph);
+  ASSERT_TRUE(result.ok());
+  const std::vector<RiskGroup> good = result->groups;
+  ASSERT_EQ(good, (std::vector<RiskGroup>{{d}, {a, b}, {b, c}}));
+  auto accepted = CheckMinimalRiskGroups(graph, good);
+  ASSERT_TRUE(accepted.ok()) << accepted.status().ToString();
+  EXPECT_GT(*accepted, 2u);  // more than the two terminals
+
+  const std::vector<std::pair<std::string, std::vector<RiskGroup>>> broken = {
+      {"missing group", {{d}, {a, b}}},
+      {"empty list", {}},
+      {"superset of a group", {{d}, {a, b}, {b, c}, {a, b, c}}},
+      {"group that fails nothing", {{d}, {a, b}, {b, c}, {a, c}}},
+      {"repeated group", {{d}, {a, b}, {a, b}, {b, c}}},
+      {"unsorted group", {{d}, {b, a}, {b, c}}},
+      {"gate instead of event", {{d}, {ab}, {b, c}}},
+      {"node out of range", {{d}, {a, b}, {b, c}, {NodeId{999}}}},
+  };
+  for (const auto& [what, groups] : broken) {
+    auto rejected = CheckMinimalRiskGroups(graph, groups);
+    ASSERT_FALSE(rejected.ok()) << what;
+    EXPECT_EQ(rejected.status().code(), StatusCode::kInternal) << what;
+  }
+}
+
+TEST(RgBddOracleTest, NodeBudgetFailsCleanly) {
+  std::vector<FaultSet> sets = {{"E1", {{"A1", 0.1}, {"A2", 0.2}}},
+                                {"E2", {{"A2", 0.2}, {"A3", 0.3}}}};
+  auto graph = BuildFromFaultSets(sets);
+  ASSERT_TRUE(graph.ok());
+  auto result = ComputeMinimalRiskGroups(*graph);
+  ASSERT_TRUE(result.ok());
+  auto oracle = CheckMinimalRiskGroups(*graph, result->groups, /*max_bdd_nodes=*/3);
+  ASSERT_FALSE(oracle.ok());
+  EXPECT_EQ(oracle.status().code(), StatusCode::kResourceExhausted);
 }
 
 }  // namespace

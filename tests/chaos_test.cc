@@ -419,6 +419,18 @@ TEST(DegradedRingTest, SeamKilledPeerIsExcludedByEverySurvivor) {
     EXPECT_EQ(results[i]->recovery_attempts, 1u) << "survivor " << i;
     EXPECT_EQ(results[i]->jaccard, expected) << "survivor " << i;
   }
+  // The reformed ring's frames carry the ring-membership extension; both
+  // sides of every hop must meter it, so the survivors' totals agree.
+  uint64_t sent = 0;
+  uint64_t received = 0;
+  for (size_t i = 0; i < k; ++i) {
+    if (i != victim && results[i].ok()) {
+      sent += results[i]->party_stats[i].bytes_sent;
+      received += results[i]->party_stats[i].bytes_received;
+    }
+  }
+  EXPECT_GT(sent, 0u);
+  EXPECT_EQ(received, sent);
 }
 
 TEST(DegradedRingTest, TwoPartyRingCollapseIsTypedUnavailable) {

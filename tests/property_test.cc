@@ -1,12 +1,13 @@
 // Property-based tests: randomized cross-validation of the core algorithms
-// against brute force and against each other, parameterized over seeds and
-// sizes (TEST_P sweeps).
+// against independent oracles (brute force, BDDs, Monte Carlo),
+// parameterized over seeds and sizes (TEST_P sweeps).
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <map>
 #include <set>
+#include <tuple>
 
 #include "src/bignum/modular.h"
 #include "src/bignum/montgomery.h"
@@ -113,84 +114,81 @@ std::set<RiskGroup> BruteForceMinimalGroups(const FaultGraph& graph) {
   return minimal;
 }
 
-// --- Minimal RG algorithm vs brute force, swept over seeds ---
+// --- Minimal RG algorithm vs brute force, swept over seeds and options ---
+//
+// For every combination of inline absorption, size bound and thread count
+// the engine must emit exactly the brute-force minimal groups, in the
+// canonical order (size, then lexicographic). A bounded run must return
+// exactly the minimal groups within the bound, and may say it is complete
+// (size_bounded == false) only when that is the whole truth. Unbounded
+// results must also pass the BDD oracle.
 
-class MinimalRgVsBruteForceTest : public ::testing::TestWithParam<uint64_t> {};
+using RgOptionsParam = std::tuple<uint64_t, bool, size_t, size_t>;
 
-TEST_P(MinimalRgVsBruteForceTest, ExactMatch) {
-  Rng rng(GetParam());
-  for (int trial = 0; trial < 20; ++trial) {
-    size_t num_basic = 3 + rng.NextBelow(8);   // 3..10
-    size_t num_gates = 2 + rng.NextBelow(6);   // 2..7
-    FaultGraph graph = RandomFaultGraph(rng, num_basic, num_gates);
-    std::set<RiskGroup> truth = BruteForceMinimalGroups(graph);
-    auto computed = ComputeMinimalRiskGroups(graph);
-    ASSERT_TRUE(computed.ok());
-    std::set<RiskGroup> got(computed->groups.begin(), computed->groups.end());
-    EXPECT_EQ(got, truth) << "seed " << GetParam() << " trial " << trial;
-  }
+class MinimalRgVsBruteForceTest : public ::testing::TestWithParam<RgOptionsParam> {};
+
+// `groups` in the engine's canonical order: size ascending, then
+// lexicographic.
+std::vector<RiskGroup> CanonicalOrder(const std::set<RiskGroup>& groups) {
+  std::vector<RiskGroup> ordered(groups.begin(), groups.end());
+  std::stable_sort(ordered.begin(), ordered.end(),
+                   [](const RiskGroup& a, const RiskGroup& b) { return a.size() < b.size(); });
+  return ordered;
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, MinimalRgVsBruteForceTest,
-                         ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55, 89));
-
-// --- Bitset engine vs legacy vector engine, swept over seeds and options ---
-//
-// The two engines must be byte-identical: same groups in the same order and
-// the same size_bounded flag, for every combination of inline absorption,
-// size bound, and bitset thread count.
-
-class RgEngineParityTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(RgEngineParityTest, BitsetMatchesVectorEngine) {
-  Rng rng(GetParam() * 6151);
-  for (int trial = 0; trial < 15; ++trial) {
+TEST_P(MinimalRgVsBruteForceTest, ExactMatch) {
+  const auto [seed, inline_absorption, max_rg_size, threads] = GetParam();
+  MinimalRgOptions options;
+  options.inline_absorption = inline_absorption;
+  options.max_rg_size = max_rg_size;
+  options.threads = threads;
+  Rng rng(seed);
+  for (int trial = 0; trial < 20; ++trial) {
     size_t num_basic = 3 + rng.NextBelow(10);  // 3..12
     size_t num_gates = 2 + rng.NextBelow(7);   // 2..8
     FaultGraph graph = RandomFaultGraph(rng, num_basic, num_gates);
-    for (bool inline_absorption : {true, false}) {
-      for (size_t max_rg_size : {SIZE_MAX, size_t{3}}) {
-        MinimalRgOptions vector_options;
-        vector_options.engine = RgEngine::kVector;
-        vector_options.inline_absorption = inline_absorption;
-        vector_options.max_rg_size = max_rg_size;
-        auto expected = ComputeMinimalRiskGroups(graph, vector_options);
-        ASSERT_TRUE(expected.ok());
-        for (size_t threads : {size_t{1}, size_t{4}}) {
-          MinimalRgOptions bitset_options = vector_options;
-          bitset_options.engine = RgEngine::kBitset;
-          bitset_options.threads = threads;
-          auto got = ComputeMinimalRiskGroups(graph, bitset_options);
-          ASSERT_TRUE(got.ok());
-          EXPECT_EQ(got->groups, expected->groups)
-              << "seed " << GetParam() << " trial " << trial << " inline " << inline_absorption
-              << " bound " << max_rg_size << " threads " << threads;
-          EXPECT_EQ(got->size_bounded, expected->size_bounded)
-              << "seed " << GetParam() << " trial " << trial;
-        }
+    const std::string where =
+        StrFormat("seed %llu trial %d", static_cast<unsigned long long>(seed), trial);
+    std::set<RiskGroup> truth = BruteForceMinimalGroups(graph);
+    std::set<RiskGroup> within_bound;
+    for (const RiskGroup& group : truth) {
+      if (group.size() <= max_rg_size) {
+        within_bound.insert(group);
       }
+    }
+    auto computed = ComputeMinimalRiskGroups(graph, options);
+    ASSERT_TRUE(computed.ok()) << where << ": " << computed.status().ToString();
+    EXPECT_EQ(computed->groups, CanonicalOrder(within_bound)) << where;
+    if (!computed->size_bounded) {
+      EXPECT_EQ(within_bound, truth) << where << ": claims completeness but misses groups";
+    }
+    if (max_rg_size == SIZE_MAX) {
+      EXPECT_FALSE(computed->size_bounded) << where;
+      auto oracle = CheckMinimalRiskGroups(graph, computed->groups);
+      EXPECT_TRUE(oracle.ok()) << where << ": " << oracle.status().ToString();
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, RgEngineParityTest, ::testing::Range<uint64_t>(1, 9));
+INSTANTIATE_TEST_SUITE_P(
+    SeedsAndOptions, MinimalRgVsBruteForceTest,
+    ::testing::Combine(::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55, 89), ::testing::Bool(),
+                       ::testing::Values(SIZE_MAX, size_t{3}),
+                       ::testing::Values(size_t{1}, size_t{4})));
 
-// Every group either engine emits on an unbounded run is truly minimal by
-// direct graph evaluation.
-TEST(RgEngineParityTest, EmittedGroupsAreTrulyMinimal) {
+// Every group the engine emits on an unbounded run is truly minimal by
+// direct graph evaluation, and the whole list passes the BDD oracle.
+TEST(RgOracleTest, EmittedGroupsAreTrulyMinimal) {
   Rng rng(4057);
   for (int trial = 0; trial < 10; ++trial) {
     FaultGraph graph = RandomFaultGraph(rng, 3 + rng.NextBelow(7), 2 + rng.NextBelow(5));
-    for (RgEngine engine : {RgEngine::kBitset, RgEngine::kVector}) {
-      MinimalRgOptions options;
-      options.engine = engine;
-      auto result = ComputeMinimalRiskGroups(graph, options);
-      ASSERT_TRUE(result.ok());
-      for (const RiskGroup& group : result->groups) {
-        EXPECT_TRUE(IsMinimalRiskGroup(graph, group))
-            << "trial " << trial << " engine " << (engine == RgEngine::kBitset ? "bitset" : "vector");
-      }
+    auto result = ComputeMinimalRiskGroups(graph);
+    ASSERT_TRUE(result.ok());
+    for (const RiskGroup& group : result->groups) {
+      EXPECT_TRUE(IsMinimalRiskGroup(graph, group)) << "trial " << trial;
     }
+    auto oracle = CheckMinimalRiskGroups(graph, result->groups);
+    EXPECT_TRUE(oracle.ok()) << "trial " << trial << ": " << oracle.status().ToString();
   }
 }
 
@@ -333,8 +331,9 @@ TEST(AbsorbOracleTest, LargeArenasTakeThePoolAndStillMatch) {
 // The k=16 fat-tree deployments the remote SIA benchmark audits: servers in
 // distinct pods, three ECMP routes each, plus shared hardware models and
 // package versions. ComputeMinimalRiskGroups must give the same bytes
-// sequentially and on the shared pool, for the AND gate and for 2-of-3.
-TEST(RgEngineParityTest, FatTreeGroupsIdenticalSequentialAndOnSharedPool) {
+// sequentially, on the shared pool and with absorption left to the end, for
+// the AND gate and for 2-of-3, and the groups must pass the BDD oracle.
+TEST(RgOracleTest, FatTreeGroupsIdenticalSequentialAndOnSharedPool) {
   constexpr uint32_t kPorts = 16;
   auto topo = BuildFatTree(kPorts);
   ASSERT_TRUE(topo.ok()) << topo.status().ToString();
@@ -376,6 +375,15 @@ TEST(RgEngineParityTest, FatTreeGroupsIdenticalSequentialAndOnSharedPool) {
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     EXPECT_EQ(got->groups, want->groups) << "trial " << trial;
     EXPECT_EQ(got->size_bounded, want->size_bounded) << "trial " << trial;
+    MinimalRgOptions absorb_at_end;
+    absorb_at_end.inline_absorption = false;
+    auto late = ComputeMinimalRiskGroups(*graph, absorb_at_end);
+    ASSERT_TRUE(late.ok()) << late.status().ToString();
+    EXPECT_EQ(late->groups, want->groups) << "trial " << trial;
+    for (const MinimalRgResult* result : {&*want, &*late}) {
+      auto oracle = CheckMinimalRiskGroups(*graph, result->groups);
+      EXPECT_TRUE(oracle.ok()) << "trial " << trial << ": " << oracle.status().ToString();
+    }
   }
   EXPECT_GT(ComputePoolTasks(), tasks_before) << "no fat-tree stage reached the pool";
 }

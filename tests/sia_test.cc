@@ -113,6 +113,15 @@ TEST(MinimalRgTest, EveryResultIsTrulyMinimal) {
   }
 }
 
+TEST(MinimalRgTest, FixedGraphsPassTheBddOracle) {
+  for (const FaultGraph& graph : {BuildFig4a(), BuildSharedTorGraph()}) {
+    auto result = ComputeMinimalRiskGroups(graph);
+    ASSERT_TRUE(result.ok());
+    auto oracle = CheckMinimalRiskGroups(graph, result->groups);
+    EXPECT_TRUE(oracle.ok()) << oracle.status().ToString();
+  }
+}
+
 TEST(MinimalRgTest, KofNGateCutSets) {
   // 2-of-3 gate over singletons: cut sets are all pairs.
   FaultGraph graph;
@@ -180,57 +189,6 @@ TEST(MinimalRgTest, AbsorptionAblationSameResult) {
   EXPECT_EQ(Names(graph, on->groups), Names(graph, off->groups));
 }
 
-// --- Bitset vs vector engine on the fixed graphs ---
-
-TEST(MinimalRgTest, EnginesAgreeOnFixedGraphs) {
-  for (FaultGraph graph : {BuildFig4a(), BuildSharedTorGraph()}) {
-    MinimalRgOptions bitset_options;
-    bitset_options.engine = RgEngine::kBitset;
-    MinimalRgOptions vector_options;
-    vector_options.engine = RgEngine::kVector;
-    auto bitset = ComputeMinimalRiskGroups(graph, bitset_options);
-    auto vector = ComputeMinimalRiskGroups(graph, vector_options);
-    ASSERT_TRUE(bitset.ok());
-    ASSERT_TRUE(vector.ok());
-    EXPECT_EQ(bitset->groups, vector->groups);
-    EXPECT_EQ(bitset->size_bounded, vector->size_bounded);
-  }
-}
-
-TEST(MinimalRgTest, BitsetEngineBudgetExceededFailsCleanly) {
-  // Same 3^12-cut-set workload as BudgetExceededFailsCleanly, bitset engine.
-  FaultGraph graph;
-  std::vector<NodeId> ors;
-  for (int i = 0; i < 12; ++i) {
-    std::vector<NodeId> basics;
-    for (int j = 0; j < 3; ++j) {
-      basics.push_back(graph.AddBasicEvent("b" + std::to_string(i) + "_" + std::to_string(j)));
-    }
-    ors.push_back(graph.AddGate("or" + std::to_string(i), GateType::kOr, basics));
-  }
-  NodeId top = graph.AddGate("top", GateType::kAnd, ors);
-  graph.SetTopEvent(top);
-  ASSERT_TRUE(graph.Validate().ok());
-  MinimalRgOptions options;
-  options.engine = RgEngine::kBitset;
-  options.max_cut_sets_per_node = 1000;
-  auto result = ComputeMinimalRiskGroups(graph, options);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
-}
-
-TEST(MinimalRgTest, BitsetEngineSizeBoundPrunes) {
-  FaultGraph graph = BuildFig4a();
-  MinimalRgOptions options;
-  options.engine = RgEngine::kBitset;
-  options.max_rg_size = 1;
-  auto result = ComputeMinimalRiskGroups(graph, options);
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->size_bounded);
-  auto names = Names(graph, result->groups);
-  EXPECT_EQ(names, (std::set<std::vector<std::string>>{{"A2"}}));
-}
-
 TEST(MinimalRgTest, BitsetEngineWideGraphCrossesWordBoundary) {
   // 70 basic events force a 2-word stride; OR over all of them plus an AND
   // pair spanning both words.
@@ -245,14 +203,10 @@ TEST(MinimalRgTest, BitsetEngineWideGraphCrossesWordBoundary) {
   NodeId top = graph.AddGate("top", GateType::kOr, {wide_or, pair});
   graph.SetTopEvent(top);
   ASSERT_TRUE(graph.Validate().ok());
-  for (RgEngine engine : {RgEngine::kBitset, RgEngine::kVector}) {
-    MinimalRgOptions options;
-    options.engine = engine;
-    auto result = ComputeMinimalRiskGroups(graph, options);
-    ASSERT_TRUE(result.ok());
-    EXPECT_EQ(result->groups.size(), 69u);  // 68 singletons + {b0, b1}
-    EXPECT_EQ(result->groups.back(), (RiskGroup{basics[0], basics[1]}));
-  }
+  auto result = ComputeMinimalRiskGroups(graph);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->groups.size(), 69u);  // 68 singletons + {b0, b1}
+  EXPECT_EQ(result->groups.back(), (RiskGroup{basics[0], basics[1]}));
 }
 
 // --- MinimizeRiskGroups / subset helpers ---

@@ -1212,6 +1212,71 @@ TEST(AuditServerTest, ReadDeadlineDropsStalledPartialFrame) {
   server.Stop();
 }
 
+// A frame may carry any extension the frame layer knows. The reactor must
+// strip each one and keep parsing the connection: a flagged ping and then a
+// plain ping on one connection get two pongs.
+TEST(AuditServerTest, EveryFrameExtensionKeepsTheConnectionParsing) {
+  AuditServer server;
+  ASSERT_TRUE(server.Start().ok());
+  struct Extension {
+    const char* name;
+    obs::TraceContext trace;
+    uint64_t request_id = 0;
+    net::FrameSketchParams sketch;
+    net::FrameRingMembership ring;
+  };
+  const std::vector<Extension> extensions = {
+      {"trace context", obs::TraceContext{0x1234, 0x5678}, 0, {}, {}},
+      {"request id", {}, 42, {}, {}},
+      {"sketch params", {}, 0, net::FrameSketchParams{64, 8, 8}, {}},
+      {"ring membership", {}, 0, {}, net::FrameRingMembership{1, 0b101}},
+  };
+  const uint8_t ping = static_cast<uint8_t>(MsgType::kPing);
+  for (const Extension& ext : extensions) {
+    auto socket = net::TcpConnect(net::Endpoint{"127.0.0.1", server.port()}, 2000);
+    ASSERT_TRUE(socket.ok()) << ext.name;
+    ASSERT_TRUE(net::WriteFrame(*socket, ping, "", 2000, ext.trace, ext.request_id, ext.sketch,
+                                ext.ring)
+                    .ok())
+        << ext.name;
+    ASSERT_TRUE(net::WriteFrame(*socket, ping, "", 2000).ok()) << ext.name;
+    for (int reply = 0; reply < 2; ++reply) {
+      auto pong = net::ReadFrame(*socket, net::FrameLimits{}, 5000);
+      ASSERT_TRUE(pong.ok()) << ext.name << " reply " << reply << ": "
+                             << pong.status().ToString();
+      EXPECT_EQ(pong->type, static_cast<uint8_t>(MsgType::kPong)) << ext.name;
+    }
+  }
+  server.Stop();
+}
+
+// One malformed frame is one rejection in net.frames_rejected, whether its
+// header or one of its extensions is bad.
+TEST(AuditServerTest, RejectedFrameCountsOnce) {
+  AuditServer server;
+  ASSERT_TRUE(server.Start().ok());
+  auto rejected = [] {
+    return CounterValue(obs::MetricsRegistry::Global().Snapshot(), "net.frames_rejected");
+  };
+  // A garbage header; then a request-id extension holding the reserved id 0.
+  const std::vector<std::string> bad_frames = {
+      std::string(net::kFrameHeaderBytes, 'x'),
+      net::EncodeFrameHeader(static_cast<uint8_t>(MsgType::kPing), 0, net::kFrameFlagRequestId) +
+          std::string(net::kRequestIdBytes, '\0'),
+  };
+  for (const std::string& bad : bad_frames) {
+    const uint64_t before = rejected();
+    auto socket = net::TcpConnect(net::Endpoint{"127.0.0.1", server.port()}, 2000);
+    ASSERT_TRUE(socket.ok());
+    ASSERT_TRUE(socket->SendAll(bad, 2000).ok());
+    std::string reply;
+    Status status = socket->RecvAll(&reply, 1, 5000);
+    EXPECT_EQ(status.code(), StatusCode::kUnavailable) << "server kept a bad connection";
+    EXPECT_EQ(rejected() - before, 1u);
+  }
+  server.Stop();
+}
+
 TEST(AuditServerTest, IdleConnectionSurvivesReadDeadline) {
   // The deadline applies to partial frames only: a connection idle between
   // requests is keep-alive, never culled.
@@ -1371,6 +1436,40 @@ TEST(PiaPeerTest, SketchRingByteIdenticalToInProcess) {
     EXPECT_EQ(stats.bytes_sent, (datasets.size() - 1) * hop_bytes) << "peer " << i;
     EXPECT_EQ(stats.bytes_received, (datasets.size() - 1) * hop_bytes) << "peer " << i;
     EXPECT_EQ(stats.encrypt_ops, 0u) << "peer " << i;
+  }
+}
+
+// Every byte a ring peer sends is a byte its successor receives, so over a
+// whole ring the metered totals agree: header, extensions and payload on
+// both sides.
+TEST(PiaPeerTest, RingBytesSentEqualBytesReceived) {
+  std::vector<std::vector<std::string>> datasets = {
+      {"net:tor1", "net:core1", "hw:sed900", "shared"},
+      {"net:tor2", "net:core1", "hw:sed900", "pkg:libc6=2.13", "shared"},
+      {"net:tor3", "net:core1", "shared"},
+  };
+  auto frames = [](const char* name) {
+    return CounterValue(obs::MetricsRegistry::Global().Snapshot(), name);
+  };
+  for (uint32_t sketch_k : {0u, 64u}) {
+    const char* ring = sketch_k == 0 ? "exact ring" : "sketch ring";
+    const uint64_t frames_sent = frames("net.frames_sent");
+    const uint64_t frames_recv = frames("net.frames_recv");
+    auto results = RunLoopbackRing(datasets, 10000, sketch_k);
+    uint64_t sent = 0;
+    uint64_t received = 0;
+    for (size_t i = 0; i < results.size(); ++i) {
+      ASSERT_TRUE(results[i].ok()) << "peer " << i << ": " << results[i].status().ToString();
+      sent += results[i]->party_stats[i].bytes_sent;
+      received += results[i]->party_stats[i].bytes_received;
+    }
+    EXPECT_GT(sent, 0u);
+    EXPECT_EQ(received, sent) << ring;
+    // Ring frames reach the frame counters on both sides, like every other
+    // frame (the hello handshake adds the same count to each).
+    EXPECT_GT(frames("net.frames_sent"), frames_sent) << ring;
+    EXPECT_EQ(frames("net.frames_sent") - frames_sent, frames("net.frames_recv") - frames_recv)
+        << ring;
   }
 }
 
