@@ -53,8 +53,35 @@ void BM_ModExp(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(ctx->ModExp(base, exp));
   }
+  state.SetLabel(MontKernelName(ctx->kernel()));
 }
 BENCHMARK(BM_ModExp)->Arg(768)->Arg(1024)->Arg(2048)->Unit(benchmark::kMicrosecond);
+
+// ModExpBatch over one batch of eight bases (one IFMA kernel call where the
+// CPU has it), with the time per element in the `per_element` counter to
+// set beside BM_ModExp's time per call; the label names the dispatched
+// batch kernel.
+void BM_ModExpBatch(benchmark::State& state) {
+  Rng rng(3);
+  auto p = WellKnownSafePrime(static_cast<size_t>(state.range(0)));
+  auto ctx = MontgomeryContext::Create(*p);
+  std::vector<BigUint> bases;
+  for (int i = 0; i < 8; ++i) {
+    bases.push_back(RandomBelow(*p, rng));
+  }
+  BigUint exp = RandomBelow(*p, rng);
+  std::vector<BigUint> out(bases.size());
+  for (auto _ : state) {
+    ctx->ModExpBatch(bases, out, exp);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["per_element"] = benchmark::Counter(
+      static_cast<double>(bases.size()),
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+  state.SetLabel(MontBatchKernelName(ctx->batch_kernel()));
+}
+BENCHMARK(BM_ModExpBatch)->Arg(768)->Arg(1024)->Arg(2048)->Unit(benchmark::kMicrosecond);
 
 // One Montgomery multiply / square on raw lanes with the kernel Create()
 // dispatches to (named in the row's label); ModExp is ~1/5 multiplies and

@@ -1,6 +1,7 @@
 #include "src/bignum/montgomery.h"
 
 #include <algorithm>
+#include <cassert>
 
 #include "src/bignum/montgomery_kernels.h"
 
@@ -16,6 +17,9 @@ using u128 = unsigned __int128;
 // ModExp's fixed window: 4 bits, so a 16-entry table.
 constexpr size_t kWindow = 4;
 constexpr size_t kTableSize = 1u << kWindow;
+
+// The batch kernel's limbs: 52 bits in each 64-bit lane.
+constexpr uint64_t kMask52 = (uint64_t{1} << 52) - 1;
 
 // Runtime-size kernels keep their scratch on the stack up to this many
 // lanes (4096-bit moduli); larger moduli fall back to one heap buffer.
@@ -38,6 +42,41 @@ BigUint Unpack(const uint64_t* lanes, size_t count) {
     limbs.push_back(static_cast<uint32_t>(lanes[i]));
     limbs.push_back(static_cast<uint32_t>(lanes[i] >> 32));
   }
+  return BigUint::FromLimbs(std::move(limbs));
+}
+
+// Splits `value` (< 2^(52 count)) into `count` 52-bit limbs, written to
+// out[0], out[stride], ... (stride kBatchWidth: the vertical batch layout).
+void ToLimbs52(const BigUint& value, uint64_t* out, size_t count, size_t stride) {
+  const std::vector<uint32_t>& src = value.limbs();
+  u128 acc = 0;
+  size_t bits = 0;
+  size_t next = 0;
+  for (size_t j = 0; j < count; ++j) {
+    while (bits < 52 && next < src.size()) {
+      acc |= static_cast<u128>(src[next++]) << bits;
+      bits += 32;
+    }
+    out[j * stride] = static_cast<uint64_t>(acc) & kMask52;
+    acc >>= 52;
+    bits = bits > 52 ? bits - 52 : 0;
+  }
+}
+
+// The inverse of ToLimbs52.
+BigUint FromLimbs52(const uint64_t* in, size_t count, size_t stride) {
+  std::vector<uint32_t> limbs;
+  limbs.reserve((52 * count + 31) / 32);
+  u128 acc = 0;
+  size_t bits = 0;
+  for (size_t j = 0; j < count; ++j) {
+    acc |= static_cast<u128>(in[j * stride]) << bits;
+    for (bits += 52; bits >= 32; bits -= 32) {
+      limbs.push_back(static_cast<uint32_t>(acc));
+      acc >>= 32;
+    }
+  }
+  limbs.push_back(static_cast<uint32_t>(acc));
   return BigUint::FromLimbs(std::move(limbs));
 }
 
@@ -160,6 +199,32 @@ bool AdxKernelsFor([[maybe_unused]] size_t lanes, [[maybe_unused]] MontgomeryCon
 #endif
 }
 
+// The IFMA batch kernel and its constants for `modulus` of `lanes` 64-bit
+// lanes, n_prime = -n^-1 mod 2^64; null when the CPU lacks AVX-512F/IFMA or
+// no kernel has that size.
+std::shared_ptr<const mont::IfmaConstants> IfmaConstantsFor(
+    [[maybe_unused]] const BigUint& modulus, [[maybe_unused]] size_t lanes,
+    [[maybe_unused]] uint64_t n_prime) {
+#if defined(INDAAS_BIGNUM_HAVE_IFMA)
+  auto c = std::make_shared<mont::IfmaConstants>();
+  if (!MontgomeryContext::KernelAvailable(MontBatchKernel::kIfma) ||
+      !mont::IfmaKernel(lanes, &c->limbs, &c->fn)) {
+    return nullptr;
+  }
+  const size_t limbs = c->limbs;
+  c->n_prime = n_prime & kMask52;
+  const BigUint r = BigUint(1).ShiftLeft(52 * limbs);  // R = 2^(52 limbs)
+  for (auto [value, out] : {std::pair{modulus, &c->n}, std::pair{r.Mod(modulus), &c->one},
+                            std::pair{r.Mul(r).Mod(modulus), &c->r2}}) {
+    out->resize(limbs);
+    ToLimbs52(value, out->data(), limbs, 1);
+  }
+  return c;
+#else
+  return nullptr;
+#endif
+}
+
 }  // namespace
 
 const char* MontKernelName(MontKernel kernel) {
@@ -170,6 +235,33 @@ const char* MontKernelName(MontKernel kernel) {
       return "adx";
   }
   return "unknown";
+}
+
+const char* MontBatchKernelName(MontBatchKernel kernel) {
+  switch (kernel) {
+    case MontBatchKernel::kSerial:
+      return "serial";
+    case MontBatchKernel::kIfma:
+      return "ifma";
+  }
+  return "unknown";
+}
+
+bool MontgomeryContext::KernelAvailable(MontBatchKernel kernel) {
+  if (kernel != MontBatchKernel::kIfma) {
+    return true;
+  }
+#if defined(INDAAS_BIGNUM_HAVE_IFMA)
+  static const bool has_ifma =
+      __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512ifma");
+  return has_ifma;
+#else
+  return false;
+#endif
+}
+
+MontBatchKernel MontgomeryContext::batch_kernel() const {
+  return ifma_ != nullptr ? MontBatchKernel::kIfma : MontBatchKernel::kSerial;
 }
 
 bool MontgomeryContext::KernelAvailable(MontKernel kernel) {
@@ -224,6 +316,7 @@ Result<MontgomeryContext> MontgomeryContext::CreateWithKernel(const BigUint& mod
   ctx.Pack(r.Mod(modulus), ctx.one_lanes_.data());
   ctx.r2_lanes_.resize(ctx.lanes_);
   ctx.Pack(r.Mul(r).Mod(modulus), ctx.r2_lanes_.data());
+  ctx.ifma_ = IfmaConstantsFor(modulus, ctx.lanes_, ctx.n_prime_);
   return ctx;
 }
 
@@ -305,6 +398,43 @@ BigUint MontgomeryContext::ModExp(const BigUint& base, const BigUint& exponent) 
   entry[0] = 1;
   MulLanes(acc, acc, entry);
   return Unpack(acc, s);
+}
+
+void MontgomeryContext::ModExpBatch(std::span<const BigUint> bases, std::span<BigUint> out,
+                                    const BigUint& exponent) const {
+  assert(out.size() == bases.size());
+  size_t done = 0;
+  if (ifma_ != nullptr && !exponent.IsZero()) {
+    const size_t windows = (exponent.BitLength() + kWindow - 1) / kWindow;
+    std::vector<uint8_t> digits(windows);
+    for (size_t w = 0; w < windows; ++w) {
+      digits[w] = static_cast<uint8_t>(WindowDigit(exponent, windows - 1 - w));
+    }
+    // Vertical operands, on the stack.
+    constexpr size_t kMaxWords = mont::kIfmaMaxLimbs * mont::kBatchWidth;
+    const size_t limbs = ifma_->limbs;
+    uint64_t in[kMaxWords];
+    uint64_t res[kMaxWords];
+    // A kernel call costs 0.9-2 ModExps at 768-2048 bits whatever its
+    // lanes hold (bench_micro), so groups of two or more take it, unused
+    // lanes raising 0, and a last group of one runs ModExp.
+    while (bases.size() - done >= 2) {
+      const size_t count = std::min(mont::kBatchWidth, bases.size() - done);
+      std::fill(in, in + limbs * mont::kBatchWidth, 0);
+      for (size_t v = 0; v < count; ++v) {
+        const BigUint& base = bases[done + v];
+        ToLimbs52(base < modulus_ ? base : base.Mod(modulus_), in + v, limbs, mont::kBatchWidth);
+      }
+      ifma_->fn(*ifma_, in, res, digits.data(), windows);
+      for (size_t v = 0; v < count; ++v) {
+        out[done + v] = FromLimbs52(res + v, limbs, mont::kBatchWidth);
+      }
+      done += count;
+    }
+  }
+  for (; done < bases.size(); ++done) {
+    out[done] = ModExp(bases[done], exponent);
+  }
 }
 
 }  // namespace indaas

@@ -11,11 +11,24 @@
 //             stack scratch; every other modulus size and CPU.
 //
 // Create() picks kAdx when the modulus and CPU allow it, once.
+//
+// ModExpBatch raises many bases to one exponent, the shape of a P-SOP ring
+// hop (one party's key over a whole dataset). Two batch kernels:
+//
+//   kIfma     eight numbers in lockstep, one per 64-bit lane of an AVX-512
+//             register, in 52-bit limbs with VPMADD52LUQ/HUQ
+//             (almost-Montgomery CIOS); CPUs with AVX-512F and IFMA,
+//             moduli of 12/16/24/32 64-bit lanes.
+//   kSerial   ModExp once per base; every other modulus size and CPU.
+//
+// Both return ModExp's results byte for byte.
 
 #ifndef SRC_BIGNUM_MONTGOMERY_H_
 #define SRC_BIGNUM_MONTGOMERY_H_
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "src/bignum/biguint.h"
@@ -27,6 +40,14 @@ enum class MontKernel { kRuntime, kAdx };
 
 const char* MontKernelName(MontKernel kernel);
 
+enum class MontBatchKernel { kSerial, kIfma };
+
+const char* MontBatchKernelName(MontBatchKernel kernel);
+
+namespace mont {
+struct IfmaConstants;
+}  // namespace mont
+
 // Precomputed context for arithmetic modulo a fixed odd modulus n.
 class MontgomeryContext {
  public:
@@ -37,11 +58,16 @@ class MontgomeryContext {
   // serve this modulus size or this CPU.
   static Result<MontgomeryContext> CreateWithKernel(const BigUint& modulus, MontKernel kernel);
 
-  // True when the CPU has what `kernel` needs (BMI2 and ADX for kAdx).
+  // True when the CPU has what `kernel` needs (BMI2 and ADX for kAdx,
+  // AVX-512F and IFMA for kIfma).
   static bool KernelAvailable(MontKernel kernel);
+  static bool KernelAvailable(MontBatchKernel kernel);
 
   const BigUint& modulus() const { return modulus_; }
   MontKernel kernel() const { return kernel_; }
+  // Picked by Create and CreateWithKernel alike (no pin): kIfma whenever
+  // the CPU and the modulus size allow it.
+  MontBatchKernel batch_kernel() const;
 
   // Number of 64-bit lanes of the modulus (and of every lane operand).
   size_t lanes() const { return lanes_; }
@@ -68,6 +94,13 @@ class MontgomeryContext {
   // sequence depends only on the exponent's bit length.
   BigUint ModExp(const BigUint& base, const BigUint& exponent) const;
 
+  // out[i] = ModExp(bases[i], exponent) for every i; out.size() must equal
+  // bases.size(), and out may be bases itself. The IFMA kernel takes the
+  // bases eight at a time through ModExp's square/multiply sequence; a
+  // final group of one, and exponent 0, run ModExp.
+  void ModExpBatch(std::span<const BigUint> bases, std::span<BigUint> out,
+                   const BigUint& exponent) const;
+
   // Kernel entry points: out = a * b * R^-1 mod n over `lanes` lanes.
   using MulFn = void (*)(uint64_t* out, const uint64_t* a, const uint64_t* b, const uint64_t* n,
                          uint64_t n_prime, size_t lanes);
@@ -89,6 +122,8 @@ class MontgomeryContext {
   std::vector<uint64_t> mod_lanes_;  // n
   std::vector<uint64_t> one_lanes_;  // R mod n (Montgomery form of 1)
   std::vector<uint64_t> r2_lanes_;   // R^2 mod n (conversion factor)
+  // The IFMA batch kernel's constants; null when ModExpBatch runs ModExp.
+  std::shared_ptr<const mont::IfmaConstants> ifma_;
 };
 
 }  // namespace indaas

@@ -50,12 +50,19 @@ BigUint CommutativeGroup::HashToElement(std::string_view data, HashAlgorithm alg
   if (x.IsZero()) {
     x = BigUint(4);  // Arbitrary QR fallback for the measure-zero case.
   }
-  // Square into the quadratic-residue subgroup of order q.
-  return x.Mul(x).Mod(p_);
+  // Square into the quadratic-residue subgroup of order q on the shared
+  // Montgomery context, x R times x times R^-1, instead of a product and a
+  // long division.
+  return ctx_->MulMont(ctx_->ToMontgomery(x), x);
 }
 
 BigUint CommutativeGroup::Pow(const BigUint& base, const BigUint& exponent) const {
   return ctx_->ModExp(base, exponent);
+}
+
+void CommutativeGroup::PowBatch(std::span<const BigUint> bases, std::span<BigUint> out,
+                                const BigUint& exponent) const {
+  ctx_->ModExpBatch(bases, out, exponent);
 }
 
 Result<CommutativeKey> CommutativeKey::Generate(const CommutativeGroup& group, Rng& rng) {
@@ -72,6 +79,12 @@ Result<CommutativeKey> CommutativeKey::Generate(const CommutativeGroup& group, R
 
 BigUint CommutativeKey::Encrypt(const CommutativeGroup& group, const BigUint& element) const {
   return group.Pow(element, e_);
+}
+
+void CommutativeKey::EncryptBatch(const CommutativeGroup& group,
+                                  std::span<const BigUint> elements,
+                                  std::span<BigUint> out) const {
+  group.PowBatch(elements, out, e_);
 }
 
 BigUint CommutativeKey::Decrypt(const CommutativeGroup& group, const BigUint& ciphertext) const {

@@ -12,6 +12,7 @@
 #define SRC_CRYPTO_COMMUTATIVE_H_
 
 #include <memory>
+#include <span>
 #include <string_view>
 
 #include "src/bignum/biguint.h"
@@ -47,6 +48,11 @@ class CommutativeGroup {
   // Exponentiation modulo p (shared Montgomery context).
   BigUint Pow(const BigUint& base, const BigUint& exponent) const;
 
+  // out[i] = Pow(bases[i], exponent), as MontgomeryContext::ModExpBatch:
+  // sizes equal, out may be bases, results identical to Pow's.
+  void PowBatch(std::span<const BigUint> bases, std::span<BigUint> out,
+                const BigUint& exponent) const;
+
  private:
   CommutativeGroup() = default;
 
@@ -63,6 +69,11 @@ class CommutativeKey {
 
   // Enc(m) = m^e mod p. `element` must already be a group element.
   BigUint Encrypt(const CommutativeGroup& group, const BigUint& element) const;
+
+  // out[i] = Encrypt(group, elements[i]) for a whole batch under this one
+  // key (CommutativeGroup::PowBatch); out may be elements.
+  void EncryptBatch(const CommutativeGroup& group, std::span<const BigUint> elements,
+                    std::span<BigUint> out) const;
 
   // Dec(c) = c^d mod p; inverse of Encrypt within the QR subgroup.
   BigUint Decrypt(const CommutativeGroup& group, const BigUint& ciphertext) const;

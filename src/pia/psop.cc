@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <map>
+#include <span>
 
 #include "src/obs/trace.h"
 #include "src/sketch/sketch.h"
@@ -19,16 +20,19 @@ struct Party {
   PartyStats stats;
 };
 
-// Runs fn(i) for i in [0, n): on ComputePool() once there are two elements
-// to spread, inline otherwise, so a one-element party never starts the pool.
-void ForEachElement(size_t n, const std::function<void(size_t)>& fn) {
-  if (n < 2) {
-    for (size_t i = 0; i < n; ++i) {
-      fn(i);
-    }
+// Elements per ComputePool() chunk: one batch of the IFMA kernel, which
+// raises eight bases to the key at once.
+constexpr size_t kChunk = 8;
+
+// Runs fn(begin, end) over kChunk-element chunks of [0, n): on
+// ComputePool() once there are two chunks to spread, inline otherwise, so
+// a party of at most one chunk never starts the pool.
+void ForEachChunk(size_t n, const std::function<void(size_t, size_t)>& fn) {
+  if (n <= kChunk) {
+    fn(0, n);
     return;
   }
-  ComputePool().ParallelFor(n, fn);
+  ComputePool().ParallelForChunked(n, kChunk, fn);
 }
 
 }  // namespace
@@ -48,16 +52,22 @@ std::vector<BigUint> HashAndEncrypt(const CommutativeGroup& group, const Commuta
                                     const std::vector<std::string>& elements,
                                     HashAlgorithm hash) {
   std::vector<BigUint> out(elements.size());
-  ForEachElement(elements.size(), [&](size_t i) {
-    out[i] = key.Encrypt(group, group.HashToElement(elements[i], hash));
+  ForEachChunk(elements.size(), [&](size_t begin, size_t end) {
+    const std::span<BigUint> chunk(out.begin() + begin, out.begin() + end);
+    for (size_t i = begin; i < end; ++i) {
+      out[i] = group.HashToElement(elements[i], hash);
+    }
+    key.EncryptBatch(group, chunk, chunk);
   });
   return out;
 }
 
 void EncryptInPlace(const CommutativeGroup& group, const CommutativeKey& key,
                     std::vector<BigUint>& elements) {
-  ForEachElement(elements.size(),
-                 [&](size_t i) { elements[i] = key.Encrypt(group, elements[i]); });
+  ForEachChunk(elements.size(), [&](size_t begin, size_t end) {
+    const std::span<BigUint> chunk(elements.begin() + begin, elements.begin() + end);
+    key.EncryptBatch(group, chunk, chunk);
+  });
 }
 
 Result<PsopResult> RunPsop(const std::vector<std::vector<std::string>>& datasets,

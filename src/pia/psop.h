@@ -59,11 +59,13 @@ struct PsopResult {
 std::vector<std::string> DisambiguateMultiset(const std::vector<std::string>& elements);
 
 // The per-element crypto of a ring party, shared by both engines. Each
-// element is a full modexp, so two or more elements are spread over the
-// shared ComputePool() (one runs inline); element i's result lands at index
-// i, so the output is the same as a serial loop's. Callers shuffle and
-// meter afterwards, on their own thread, which keeps RNG draws and counters
-// unchanged.
+// element is a full modexp under the party's one key, so the elements go
+// in chunks of eight to CommutativeKey::EncryptBatch (the IFMA batch kernel
+// where the CPU has it), and more than one chunk is spread over the shared
+// ComputePool() (a single chunk runs inline); element i's result lands at
+// index i, so the output is the same as a serial loop's. Callers shuffle
+// and meter afterwards, on their own thread, which keeps RNG draws and
+// counters unchanged.
 //
 // Phase 0: hash each element into the group and encrypt it with `key`.
 std::vector<BigUint> HashAndEncrypt(const CommutativeGroup& group, const CommutativeKey& key,

@@ -358,6 +358,35 @@ TEST(MontgomeryTest, FermatLittleTheorem) {
   }
 }
 
+// ModExpBatch returns ModExp's results byte for byte, whichever batch kernel
+// the CPU and modulus size dispatch to: the four MODP sizes, a 512-bit odd
+// modulus (always the serial loop), and 19 bases (two full groups of eight
+// and a tail of three).
+TEST(MontgomeryTest, ModExpBatchEqualsModExp) {
+  Rng rng(67);
+  std::vector<BigUint> moduli;
+  for (size_t bits : {768, 1024, 1536, 2048}) {
+    moduli.push_back(WellKnownSafePrime(bits).value());
+  }
+  moduli.push_back(RandomWithBits(512, rng).Add(BigUint(1)).ShiftLeft(1).Add(BigUint(1)));
+  for (const BigUint& n : moduli) {
+    auto ctx = MontgomeryContext::Create(n);
+    ASSERT_TRUE(ctx.ok());
+    std::vector<BigUint> bases;
+    for (int i = 0; i < 19; ++i) {
+      bases.push_back(RandomBelow(n, rng));
+    }
+    const BigUint exponent = RandomBelow(n, rng);
+    std::vector<BigUint> out(bases.size());
+    ctx->ModExpBatch(bases, out, exponent);
+    for (size_t i = 0; i < bases.size(); ++i) {
+      EXPECT_EQ(out[i], ctx->ModExp(bases[i], exponent))
+          << n.BitLength() << "-bit modulus, " << MontBatchKernelName(ctx->batch_kernel())
+          << " kernel, index " << i;
+    }
+  }
+}
+
 // --- Primality ---
 
 TEST(PrimeTest, SmallKnownPrimesAndComposites) {

@@ -145,6 +145,48 @@ TEST_F(CommutativeTest, DistinctInputsGiveDistinctElements) {
   EXPECT_EQ(seen.size(), 200u);
 }
 
+// Fixed inputs and the exact elements they hash to, across the 768/1024-
+// bit MODP groups and a 64-bit safe prime (one Montgomery lane), so any
+// change to the hash expansion, the reduction or the squaring shows.
+TEST(CommutativeGroupTest, HashToElementGoldenValues) {
+  struct Golden {
+    size_t bits;  // MODP size; 0 for the 64-bit safe prime below
+    HashAlgorithm algorithm;
+    std::string data;
+    std::string element_hex;
+  };
+  const std::vector<Golden> goldens = {
+      {768, HashAlgorithm::kSha256, "libc6 2.13-38",
+       "715fa7fb9d58f9a3c167839b2af85e1efaa8cbebfb640601ed8ee95484d8c4b6"
+       "9f89f99081a431cc64c92d9a457aacc3150e7c195af62e804c4be604fedae95e"
+       "bb25a08915b659560da4c862b2fb12841afe88c6b579d0b87614a3ab5090105a"},
+      {768, HashAlgorithm::kMd5, "router-10.0.0.1",
+       "baebb9f7e20cc8c638d0146fea9d150255f1e2b003e7ac65a8a15004c6c80c44"
+       "68c4d4729c4ef27625ff34787e7049d17ba44973215767a1a8020d987aea4ad2"
+       "c764fdc6840057579494697c3c091c496c0b73c6244a06ff2781cd5c86ee1116"},
+      {1024, HashAlgorithm::kSha256, "pkg:0||1",
+       "e154fdcd1867aa203f6a3aeab0d10f660621510620624475a6fcd030d0ac00a5"
+       "e057919f86043d58fc561b81e23c838963fe664c0fbac2cdd8a89a1b47dde574"
+       "f77cde7b7ba6d081b0b1a90ec15ef5b72682594dd96d39979cef9e240a4c8d18"
+       "017faaa9073b00fb7cb5d69fbfb3461c75a9a159a32f39b6d43f3b86a0aca473"},
+      {1024, HashAlgorithm::kSha1, "",
+       "f63b988d6e03922963d37bcb6a6a146bab910d0f4ea26d3b58d2cb99ba7a58ad"
+       "8bbf33aca73fe779de2c77ecf45827a3675dae01815c85d009dadac6dc048998"
+       "b7b5824c96400304e38321c847cda7d59729f3a591c45f5ab3036f495392c9eb"
+       "b8d6a70a3f6bf4e07fbc322e2c4900b9e479db575cd09ab7fff7f12376e745a0"},
+      {0, HashAlgorithm::kSha256, "openssl 1.0.1e", "d57f01ba71dc6e3f"},
+  };
+  Rng rng(6);
+  const BigUint small_safe = BigUint::FromHex("fe44b05014b8d383").value();
+  for (const Golden& golden : goldens) {
+    auto group = golden.bits == 0 ? CommutativeGroup::Create(small_safe, rng)
+                                  : CommutativeGroup::CreateWellKnown(golden.bits);
+    ASSERT_TRUE(group.ok());
+    EXPECT_EQ(group->HashToElement(golden.data, golden.algorithm).ToHex(), golden.element_hex)
+        << golden.bits << "-bit group, \"" << golden.data << "\"";
+  }
+}
+
 TEST(CommutativeGroupTest, CreateValidatesSafePrime) {
   Rng rng(6);
   // 23 = 2*11+1 is a safe prime but too small; 15 is not prime at all.

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <map>
 #include <set>
 #include <tuple>
@@ -754,18 +756,151 @@ TEST(MontKernelDispatchTest, PicksFixedKernelsForModpSizes) {
   EXPECT_EQ(small->kernel(), MontKernel::kRuntime);
 }
 
+// Create() picks the IFMA batch kernel for the MODP sizes where the CPU has
+// AVX-512F and IFMA, and ModExpBatch's serial loop everywhere else. The
+// test prints both picks per size, so a log shows which kernels ran.
+TEST(MontKernelDispatchTest, PicksBatchKernelsForModpSizes) {
+  const MontBatchKernel batch = MontgomeryContext::KernelAvailable(MontBatchKernel::kIfma)
+                                    ? MontBatchKernel::kIfma
+                                    : MontBatchKernel::kSerial;
+  for (size_t bits : {768, 1024, 1536, 2048}) {
+    auto ctx = MontgomeryContext::Create(WellKnownSafePrime(bits).value());
+    ASSERT_TRUE(ctx.ok());
+    std::printf("%zu-bit MODP: ModExp kernel %s, ModExpBatch kernel %s\n", bits,
+                MontKernelName(ctx->kernel()), MontBatchKernelName(ctx->batch_kernel()));
+    EXPECT_EQ(ctx->batch_kernel(), batch) << bits;
+    // Pinning the per-element kernel leaves the batch kernel as dispatched.
+    auto pinned = MontgomeryContext::CreateWithKernel(ctx->modulus(), MontKernel::kRuntime);
+    ASSERT_TRUE(pinned.ok());
+    EXPECT_EQ(pinned->batch_kernel(), batch) << bits;
+  }
+  for (const BigUint& other : {BigUint(1000000007), BigUint(1).ShiftLeft(640).Add(BigUint(1))}) {
+    auto ctx = MontgomeryContext::Create(other);
+    ASSERT_TRUE(ctx.ok());
+    EXPECT_EQ(ctx->batch_kernel(), MontBatchKernel::kSerial) << other.BitLength();
+  }
+}
+
+// --- The IFMA batch kernel against the oracle ---
+
+class MontBatchOracleTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (!MontgomeryContext::KernelAvailable(MontBatchKernel::kIfma)) {
+      GTEST_SKIP() << "this CPU lacks AVX-512F or AVX-512 IFMA, which the ifma batch kernel "
+                      "needs; ModExpBatch runs the serial loop here";
+    }
+  }
+};
+
+// ModpCases() (edge exponents on a random base, edge bases on a random
+// exponent, four MODP sizes) batched per modulus and exponent, with 0 and 1
+// added where a group lacks them. Each group's bases repeat cyclically to
+// every batch size 0-17, so a batch holds repeats, neighbouring lanes
+// differ, and sizes that leave a group of two to seven put the edge bases
+// in a partly filled kernel call. Every result must equal its own index's
+// oracle value; the kernel also runs in place.
+TEST_F(MontBatchOracleTest, ModpGroupsEveryBatchSizeEdgeBasesAndExponents) {
+  struct Group {
+    const ModExpCase* first;
+    std::vector<BigUint> bases;
+    std::vector<BigUint> expected;
+  };
+  std::map<std::pair<std::string, std::string>, Group> groups;
+  for (const ModExpCase& c : ModpCases()) {
+    Group& group = groups[{c.modulus.ToHex(), c.exponent.ToHex()}];
+    if (group.first == nullptr) {
+      group.first = &c;
+    }
+    group.bases.push_back(c.base);
+    group.expected.push_back(c.expected);
+  }
+  for (auto& [key, group] : groups) {
+    const ModExpCase& c = *group.first;
+    for (const BigUint& cheap : {BigUint(), BigUint(1)}) {
+      if (std::find(group.bases.begin(), group.bases.end(), cheap) == group.bases.end()) {
+        group.bases.push_back(cheap);
+        group.expected.push_back(OracleModExp(cheap, c.exponent, c.modulus));
+      }
+    }
+    auto ctx = MontgomeryContext::Create(c.modulus);
+    ASSERT_TRUE(ctx.ok());
+    ASSERT_EQ(ctx->batch_kernel(), MontBatchKernel::kIfma) << c.what;
+    const size_t distinct = group.bases.size();
+    for (size_t size = 0; size <= 17; ++size) {
+      std::vector<BigUint> bases;
+      for (size_t i = 0; i < size; ++i) {
+        bases.push_back(group.bases[i % distinct]);
+      }
+      std::vector<BigUint> out(size);
+      ctx->ModExpBatch(bases, out, c.exponent);
+      for (size_t i = 0; i < size; ++i) {
+        EXPECT_EQ(out[i], group.expected[i % distinct])
+            << c.what << ", batch of " << size << ", index " << i;
+      }
+      ctx->ModExpBatch(bases, bases, c.exponent);
+      EXPECT_EQ(bases, out) << c.what << ", batch of " << size << " in place";
+    }
+  }
+}
+
+// Random odd moduli that are not MODP primes, of the four lane counts the
+// kernel serves: a random one; 2^(64 lanes) - 1, the widest, whose all-ones
+// limbs leave the least headroom below R; and 9m, for which the base 3m
+// squares to 0 mod n. That base is the one way a result reaches exactly n
+// before the final subtraction. Other lane counts take the serial loop and
+// must agree with the oracle as well.
+TEST_F(MontBatchOracleTest, RandomOddModuliOfEveryServedWidth) {
+  Rng rng(131071);
+  const BigUint one(1);
+  for (size_t lanes : {2, 12, 16, 17, 24, 32}) {
+    BigUint random_modulus = RandomWithBits(64 * lanes, rng);
+    if (!random_modulus.IsOdd()) {
+      random_modulus = random_modulus.Add(one);
+    }
+    BigUint m = RandomWithBits(64 * lanes - 4, rng);
+    if (!m.IsOdd()) {
+      m = m.Add(one);
+    }
+    const BigUint nine_m = m.Mul(BigUint(9));
+    for (const BigUint& n : {random_modulus, one.ShiftLeft(64 * lanes).Sub(one), nine_m}) {
+      auto ctx = MontgomeryContext::Create(n);
+      ASSERT_TRUE(ctx.ok());
+      const bool served = lanes == 12 || lanes == 16 || lanes == 24 || lanes == 32;
+      EXPECT_EQ(ctx->batch_kernel(), served ? MontBatchKernel::kIfma : MontBatchKernel::kSerial)
+          << lanes << " lanes";
+      const BigUint exponent = RandomWithBits(2 + rng.NextBelow(95), rng);  // >= 2
+      std::vector<BigUint> bases = {n.Sub(one), BigUint(), one, n.Add(RandomBelow(n, rng))};
+      if (n == nine_m) {
+        bases.push_back(m.Mul(BigUint(3)));
+      }
+      while (bases.size() < 11) {
+        bases.push_back(RandomBelow(n, rng));
+      }
+      std::vector<BigUint> out(bases.size());
+      ctx->ModExpBatch(bases, out, exponent);
+      for (size_t i = 0; i < bases.size(); ++i) {
+        EXPECT_EQ(out[i], OracleModExp(bases[i], exponent, n))
+            << lanes << " lanes, modulus " << n.ToHex() << ", index " << i;
+      }
+    }
+  }
+}
+
 // --- Pooled P-SOP hops against a serial reference ---
 
 // The pooled per-element crypto writes element i's ciphertext at index i:
-// it equals a serial loop over the oracle, element for element. Empty and
-// one-element parties take the inline path.
+// it equals a serial loop over the oracle, element for element. Sizes
+// straddle the eight-element batch: empty, one (inline), a partial batch,
+// exactly one, one more, two and a tail, and a party of 200 as in
+// psop_ring_k3.
 TEST(PsopHopTest, PooledCryptoMatchesSerialOracle) {
   auto group = CommutativeGroup::CreateWellKnown(768);
   ASSERT_TRUE(group.ok());
   Rng rng(17);
   auto key = CommutativeKey::Generate(*group, rng);
   ASSERT_TRUE(key.ok());
-  for (int count : {0, 1, 37}) {  // 37: several pool chunks, uneven tail
+  for (int count : {0, 1, 7, 8, 9, 17, 200}) {
     std::vector<std::string> elements;
     for (int i = 0; i < count; ++i) {
       elements.push_back("pkg:" + std::to_string(i));
@@ -786,41 +921,39 @@ TEST(PsopHopTest, PooledCryptoMatchesSerialOracle) {
   }
 }
 
-// A seeded 3-party RunPsop (768-bit group, about 10 elements per party,
-// with duplicates) against a reference the test computes serially: the
-// parties' keys drawn as RunPsop draws them, each element hashed and then
-// encrypted with the oracle in ring order. The counts follow from the
+// A seeded RunPsop (768-bit group) against a reference the test computes
+// serially: the parties' keys drawn as RunPsop draws them, each element
+// hashed and raised with the oracle to the product of all keys mod q
+// (encryption commutes, and hashed elements lie in the order-q subgroup,
+// so that is every ring order's ciphertext). The counts follow from the
 // reference ciphertexts; PartyStats encrypt_ops and bytes are exactly the
-// protocol's.
-TEST(PsopHopTest, RingMatchesSerialReference) {
-  const std::vector<std::vector<std::string>> datasets = {
-      {"a", "b", "c", "d", "e", "f", "g", "h", "i", "a"},
-      {"a", "c", "e", "g", "i", "k", "m", "o", "q", "a", "s"},
-      {"a", "b", "e", "f", "i", "j", "m", "n", "a"}};
+// protocol's. Returns the reference intersection.
+size_t ExpectRingMatchesSerialReference(const std::vector<std::vector<std::string>>& datasets,
+                                        uint64_t seed) {
   const size_t k = datasets.size();
   PsopOptions options;
   options.group_bits = 768;
-  options.seed = 23;
+  options.seed = seed;
   auto result = RunPsop(datasets, options);
-  ASSERT_TRUE(result.ok());
-
+  EXPECT_TRUE(result.ok());
   auto group = CommutativeGroup::CreateWellKnown(768);
-  ASSERT_TRUE(group.ok());
+  EXPECT_TRUE(group.ok());
+  if (!result.ok() || !group.ok()) {
+    return 0;
+  }
   Rng rng(options.seed);
-  std::vector<BigUint> exponents;
+  BigUint all_keys(1);
   for (size_t i = 0; i < k; ++i) {
     auto key = CommutativeKey::Generate(*group, rng);
-    ASSERT_TRUE(key.ok());
-    exponents.push_back(key->exponent());
+    EXPECT_TRUE(key.ok());
+    all_keys = all_keys.Mul(key->exponent()).Mod(group->q());
   }
   std::map<std::string, std::set<size_t>> holders;  // ciphertext -> origins
   size_t total = 0;
   for (size_t origin = 0; origin < k; ++origin) {
     for (const std::string& element : DisambiguateMultiset(datasets[origin])) {
-      BigUint c = group->HashToElement(element, options.hash);
-      for (size_t hop = 0; hop < k; ++hop) {
-        c = OracleModExp(c, exponents[(origin + hop) % k], group->p());
-      }
+      const BigUint c =
+          OracleModExp(group->HashToElement(element, options.hash), all_keys, group->p());
       holders[c.ToHex()].insert(origin);
       ++total;
     }
@@ -831,16 +964,45 @@ TEST(PsopHopTest, RingMatchesSerialReference) {
   }
   EXPECT_EQ(result->union_size, holders.size());
   EXPECT_EQ(result->intersection, intersection);
-  EXPECT_EQ(result->intersection, 4u);  // a||1, a||2, e||1, i||1
   const size_t element_bytes = 768 / 8;
-  ASSERT_EQ(result->party_stats.size(), k);
-  for (size_t p = 0; p < k; ++p) {
+  EXPECT_EQ(result->party_stats.size(), k);
+  for (size_t p = 0; p < k && p < result->party_stats.size(); ++p) {
     const PartyStats& stats = result->party_stats[p];
     const size_t own = datasets[p].size();
     EXPECT_EQ(stats.encrypt_ops, total) << p;  // every dataset once
     EXPECT_EQ(stats.bytes_sent, (total + (k - 1) * own) * element_bytes) << p;
     EXPECT_EQ(stats.bytes_received, (total + total - own) * element_bytes) << p;
   }
+  return intersection;
+}
+
+// A 3-party ring of about 10 elements per party, with duplicates, and
+// rings whose parties hold 0, 1, 7, 8, 9, 17 and 200 elements, on both
+// sides of the eight-element batch.
+TEST(PsopHopTest, RingMatchesSerialReference) {
+  EXPECT_EQ(ExpectRingMatchesSerialReference(
+                {{"a", "b", "c", "d", "e", "f", "g", "h", "i", "a"},
+                 {"a", "c", "e", "g", "i", "k", "m", "o", "q", "a", "s"},
+                 {"a", "b", "e", "f", "i", "j", "m", "n", "a"}},
+                23),
+            4u);  // a||1, a||2, e||1, i||1
+  // Party p of a ring holds elements "e<i>" for i < size, every third
+  // one shared by all parties, the rest tagged with p.
+  auto ring = [](std::initializer_list<size_t> sizes) {
+    std::vector<std::vector<std::string>> datasets;
+    for (size_t size : sizes) {
+      std::vector<std::string> dataset;
+      for (size_t i = 0; i < size; ++i) {
+        dataset.push_back("e" + std::to_string(i) +
+                          (i % 3 == 0 ? "" : "@" + std::to_string(datasets.size())));
+      }
+      datasets.push_back(std::move(dataset));
+    }
+    return datasets;
+  };
+  EXPECT_EQ(ExpectRingMatchesSerialReference(ring({0, 1, 7}), 29), 0u);
+  EXPECT_EQ(ExpectRingMatchesSerialReference(ring({8, 9, 17}), 31), 3u);  // e0, e3, e6
+  EXPECT_EQ(ExpectRingMatchesSerialReference(ring({200, 17, 9}), 37), 3u);
 }
 
 // --- P-SOP agrees with plaintext Jaccard, swept over party counts ---

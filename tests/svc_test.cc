@@ -1409,6 +1409,45 @@ TEST(PiaPeerTest, TwoPartyWithDuplicatesMatchesInProcess) {
   }
 }
 
+// Party sizes that are not multiples of the eight-element crypto batch
+// (13, 21 and 10). The socket ring's counts and Jaccard equal the
+// in-process ring's, each peer's encrypt_ops equals its in-process party's,
+// and the ring's wire bytes are the in-process element bytes in PsopDataset
+// framing: a 4-byte length per element, and per frame (k hops plus k - 1
+// all-gather rounds from each of the k peers) the frame header, the trace
+// context and the 12-byte dataset header.
+TEST(PiaPeerTest, RingOffTheBatchBoundaryMatchesInProcess) {
+  std::vector<std::vector<std::string>> datasets(3);
+  for (size_t p = 0; p < datasets.size(); ++p) {
+    const size_t size = std::vector<size_t>{13, 21, 10}[p];
+    for (size_t i = 0; i < size; ++i) {
+      datasets[p].push_back(i % 2 == 0 ? "shared:" + std::to_string(i)
+                                       : "own" + std::to_string(p) + ":" + std::to_string(i));
+    }
+  }
+  auto results = RunLoopbackRing(datasets);
+  auto reference = RunPsop(datasets, RingPsopOptions());
+  ASSERT_TRUE(reference.ok());
+  EXPECT_EQ(reference->intersection, 5u);  // shared:0, 2, 4, 6, 8
+  const size_t k = datasets.size();
+  uint64_t sent = 0;
+  uint64_t reference_sent = 0;
+  for (size_t i = 0; i < k; ++i) {
+    ASSERT_TRUE(results[i].ok()) << "peer " << i << ": " << results[i].status().ToString();
+    EXPECT_EQ(results[i]->intersection, reference->intersection) << "peer " << i;
+    EXPECT_EQ(results[i]->union_size, reference->union_size) << "peer " << i;
+    EXPECT_EQ(results[i]->jaccard, reference->jaccard) << "peer " << i;
+    EXPECT_EQ(results[i]->party_stats[i].encrypt_ops, reference->party_stats[i].encrypt_ops)
+        << "peer " << i;
+    sent += results[i]->party_stats[i].bytes_sent;
+    reference_sent += reference->party_stats[i].bytes_sent;
+  }
+  const size_t element_bytes = RingPsopOptions().group_bits / 8;
+  const size_t frames = k * (2 * k - 1);
+  EXPECT_EQ(sent, reference_sent / element_bytes * (4 + element_bytes) +
+                      frames * (net::kFrameHeaderBytes + net::kTraceContextBytes + 12));
+}
+
 TEST(PiaPeerTest, SketchRingByteIdenticalToInProcess) {
   const uint32_t sketch_k = 128;
   std::vector<std::vector<std::string>> datasets = {
