@@ -2,8 +2,9 @@
 // clients the reactor sustains, and what pipelining buys on one
 // connection. Three phases:
 //
-//   1. Pipelining gain — sequential AuditClient pings vs a MuxAuditClient
-//      keeping a window of pipelined pings in flight on one connection.
+//   1. Pipelining gain — sequential AuditClient pings (one in flight) vs
+//      the same client keeping a window of pipelined pings in flight on
+//      one connection.
 //   2. Sustained concurrency — closed-loop clients auditing at a low
 //      per-connection rate (think time between audits, like real periodic
 //      auditors), once with as many connections as pool workers and once
@@ -38,7 +39,6 @@
 #include "src/obs/export.h"
 #include "src/obs/profiler.h"
 #include "src/svc/client.h"
-#include "src/svc/mux_client.h"
 #include "src/svc/server.h"
 #include "src/util/file.h"
 #include "src/util/flags.h"
@@ -192,11 +192,11 @@ struct OpenLoopResult {
   double p99_ms = 0;
 };
 
-// Open-loop phase: Poisson arrivals at `rate`/s fired through a mux pool at
+// Open-loop phase: Poisson arrivals at `rate`/s fired through a client pool at
 // the reactor. If the driver falls behind (or the window fills), requests
 // queue at the client — latency, sheds and achieved throughput tell the
 // saturation story.
-Result<OpenLoopResult> RunOpenLoop(svc::MuxAuditClient& client, double rate,
+Result<OpenLoopResult> RunOpenLoop(svc::AuditClient& client, double rate,
                                    double duration_s, uint64_t seed) {
   OpenLoopResult result;
   result.rate = rate;
@@ -266,7 +266,7 @@ Status Run(int argc, char** argv) {
   FlagSet flags;
   flags.AddInt("workers", &workers, "server worker threads in every scenario");
   flags.AddInt("pings", &pings, "round trips in the pipelining A/B");
-  flags.AddInt("window", &window, "mux client in-flight window");
+  flags.AddInt("window", &window, "pipelined client in-flight window");
   flags.AddInt("reactor-conns", &reactor_conns, "closed-loop connections at the reactor");
   flags.AddDouble("duration-s", &duration_s, "closed-loop scenario duration");
   flags.AddInt("think-ms", &think_ms, "idle time between a connection's audits");
@@ -314,11 +314,11 @@ Status Run(int argc, char** argv) {
       serial_rps = static_cast<double>(pings) / timer.ElapsedSeconds();
     }
     {
-      svc::MuxClientOptions mux_options;
+      svc::AuditClientOptions mux_options;
       mux_options.connections = 1;
       mux_options.window = static_cast<size_t>(window);
-      INDAAS_ASSIGN_OR_RETURN(svc::MuxAuditClient client,
-                              svc::MuxAuditClient::Connect(endpoint, mux_options));
+      INDAAS_ASSIGN_OR_RETURN(svc::AuditClient client,
+                              svc::AuditClient::Connect(endpoint, mux_options));
       std::mutex mu;
       std::condition_variable cv;
       int64_t done = 0;
@@ -382,13 +382,12 @@ Status Run(int argc, char** argv) {
           svc::AuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()}));
       INDAAS_RETURN_IF_ERROR(seed.ImportDepDb(BenchDepDbText()).status());
     }
-    svc::MuxClientOptions mux_options;
+    svc::AuditClientOptions mux_options;
     mux_options.connections = 4;
     mux_options.window = 256;
     INDAAS_ASSIGN_OR_RETURN(
-        svc::MuxAuditClient client,
-        svc::MuxAuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()},
-                                     mux_options));
+        svc::AuditClient client,
+        svc::AuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()}, mux_options));
     uint64_t seed = 1;
     for (const std::string& field : rate_fields) {
       char* end = nullptr;

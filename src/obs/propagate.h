@@ -4,7 +4,8 @@
 // nonzero 64-bit trace id shared by every process that touches the request,
 // plus the wire span id of the remote caller's span (0 = unknown). The
 // context rides ahead of RPC payloads in the frame trace extension
-// (src/net/frame.h): AuditClient and PiaPeer inject the calling thread's
+// (src/net/frame.h): AuditClient (its trace id, with the caller-thread
+// "svc.client.rpc" span as parent) and PiaPeer inject the calling thread's
 // context, server-side pumps adopt it for the duration of one request, and
 // every span recorded while a context is installed carries its trace id —
 // which is what lets `indaas trace-merge` stitch per-process Chrome traces

@@ -9,10 +9,11 @@
 // processes, and emits one Chrome trace where every process is a separate
 // pid on a common timeline:
 //
-//   - an AuditClient "svc.client.rpc" span and the AuditServer "svc.rpc"
-//     span it caused (matched by trace id + remote_parent == wire span id)
-//     bracket the same request, so aligning their midpoints cancels the
-//     clock skew up to half the network round trip;
+//   - an AuditClient "svc.client.rpc" span (opened on the calling thread
+//     of a synchronous call) and the AuditServer "svc.rpc" span it caused
+//     (matched by trace id + remote_parent == wire span id) bracket the
+//     same request, so aligning their midpoints cancels the clock skew up
+//     to half the network round trip;
 //   - PIA ring peers run their "pia.ring.exchange" hops in lockstep, so
 //     same-xseq hops on different peers end at (nearly) the same instant.
 //

@@ -1,106 +1,17 @@
-// Multiplexed (pipelining) client for the INDaaS audit service.
-//
-// Where AuditClient issues one request at a time per connection,
-// MuxAuditClient keeps a bounded window of requests in flight on each of a
-// small pool of connections. Every request frame carries the request-id
-// extension (src/net/frame.h); the server echoes the id on the matching
-// reply, so replies may arrive in any order — a fast ping overtakes a slow
-// audit on the same connection — and are paired by id, never by position.
-// This is the client half of the reactor's pipelining contract and the
-// workhorse of bench_svc_saturation's open-loop driver.
-//
-// Concurrency model: AsyncCall is thread-safe and non-blocking up to the
-// window; once a connection's window is full the caller blocks until a
-// reply frees a slot (natural backpressure — an open-loop driver that
-// outruns the server piles up here instead of allocating without bound).
-// Completions are delivered on the connection's reader thread; keep them
-// cheap, and never issue a blocking Call from inside one. Requests are
-// spread round-robin across the pool's connections.
-//
-// Compatibility: a pre-request-id server rejects the unknown flag bit as a
-// protocol error and closes the connection, so talking to an old server
-// fails loudly (every pending call completes with the transport error)
-// instead of mis-pairing replies.
-//
-// Staleness and replay: a pooled connection the server closed while idle is
-// revived in place (fresh socket + reader) the next time a request routes to
-// it, and *idempotent* requests (everything but ImportDepDb) that die on a
-// transport fault are transparently re-issued once on another connection.
-// Decoded kErrorReply answers — including server sheds — are never replayed;
-// they are the server's decision. Reconnects and replays are counted in
-// svc.client.mux_reconnects / svc.client.mux_replays.
+// Forwarding header: the pipelined client is AuditClient (src/svc/client.h).
+// The old names stay only for perfbench, which still spells them; a later
+// benchmark change moves it to AuditClient and deletes this header.
 
 #ifndef SRC_SVC_MUX_CLIENT_H_
 #define SRC_SVC_MUX_CLIENT_H_
 
-#include <functional>
-#include <memory>
-#include <string>
-
-#include "src/agent/sia_audit.h"
-#include "src/agent/spec.h"
-#include "src/net/frame.h"
-#include "src/net/retry.h"
-#include "src/net/socket.h"
-#include "src/svc/proto.h"
-#include "src/util/status.h"
+#include "src/svc/client.h"
 
 namespace indaas {
 namespace svc {
 
-struct MuxClientOptions {
-  size_t connections = 1;  // pool size; requests round-robin across it
-  size_t window = 64;      // max in-flight requests per connection
-  int connect_timeout_ms = 2000;
-  int io_timeout_ms = 30000;  // audits on large DepDBs take real time
-  net::RetryPolicy retry;
-  net::FrameLimits limits;
-};
-
-class MuxAuditClient {
- public:
-  // Invoked exactly once per request with the paired reply (or the error
-  // that ended it). Runs on a reader thread — keep it cheap.
-  using Completion = std::function<void(Result<net::Frame>)>;
-
-  // Connects the whole pool (each connection retries with backoff while
-  // the server comes up).
-  static Result<MuxAuditClient> Connect(const net::Endpoint& endpoint,
-                                        const MuxClientOptions& options = {});
-
-  MuxAuditClient(MuxAuditClient&&) noexcept;
-  MuxAuditClient& operator=(MuxAuditClient&&) noexcept;
-  MuxAuditClient(const MuxAuditClient&) = delete;
-  MuxAuditClient& operator=(const MuxAuditClient&) = delete;
-  ~MuxAuditClient();
-
-  // Issues one request; `done` fires when the matching reply arrives (out
-  // of order is fine). Blocks only while the chosen connection's window is
-  // full. kErrorReply payloads are unwrapped into their remote Status, and
-  // a reply of the wrong type is a kProtocolError.
-  void AsyncCall(MsgType request, std::string payload, MsgType expected, Completion done);
-
-  // Synchronous convenience over AsyncCall. Other requests may still be in
-  // flight around it; must not be called from inside a Completion.
-  Result<net::Frame> Call(MsgType request, std::string payload, MsgType expected);
-
-  Status Ping();
-  Result<ImportAck> ImportDepDb(const std::string& table1_text);
-  Result<SiaAuditReport> AuditStructural(const AuditSpecification& spec);
-
-  // Fails every pending request with kUnavailable and joins the reader
-  // threads. Idempotent; the destructor calls it.
-  void Shutdown();
-
-  // The trace id stamped on every request (ambient at Connect, else fresh).
-  uint64_t trace_id() const;
-
- private:
-  struct Impl;
-  explicit MuxAuditClient(std::unique_ptr<Impl> impl);
-
-  std::unique_ptr<Impl> impl_;
-};
+using MuxAuditClient = AuditClient;
+using MuxClientOptions = AuditClientOptions;
 
 }  // namespace svc
 }  // namespace indaas

@@ -18,6 +18,7 @@
 #include "src/net/chaos.h"
 #include "src/net/frame.h"
 #include "src/net/socket.h"
+#include "src/obs/metrics.h"
 #include "src/pia/psop.h"
 #include "src/svc/client.h"
 #include "src/svc/pia_peer.h"
@@ -222,7 +223,6 @@ TEST_P(ChaosRpcMatrix, AuditRpcEndsInResultOrTypedError) {
     AuditClientOptions client_options;
     client_options.connect_timeout_ms = 500;
     client_options.io_timeout_ms = 1500;
-    client_options.rpc_attempts = 2;
     client_options.retry.max_attempts = 2;
     client_options.retry.initial_backoff_s = 0.01;
     client_options.retry.max_backoff_s = 0.05;
@@ -502,13 +502,14 @@ TEST(AdaptiveAdmissionTest, ShedsUnderStandingQueueThenRecovers) {
   std::atomic<int> sheds{0};
   std::atomic<int> answers{0};
   std::atomic<int> unexpected{0};
+  // A shed is the server's answer and is never replayed; a transport
+  // failure would be, and would hide here as an answer. None may occur.
+  obs::Counter* replays = obs::MetricsRegistry::Global().GetCounter("svc.client.rpc_replays");
+  const uint64_t replays_before = replays->Value();
   std::vector<std::thread> drivers;
   for (int t = 0; t < 4; ++t) {
     drivers.emplace_back([&] {
-      AuditClientOptions client_options;
-      client_options.rpc_attempts = 1;
-      auto client = AuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()},
-                                         client_options);
+      auto client = AuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()});
       if (!client.ok()) {
         ++unexpected;
         return;
@@ -537,13 +538,11 @@ TEST(AdaptiveAdmissionTest, ShedsUnderStandingQueueThenRecovers) {
   // Idle windows decay the level back to zero: after a quiet second a
   // cheap request must be admitted again.
   std::this_thread::sleep_for(std::chrono::milliseconds(1200));
-  AuditClientOptions client_options;
-  client_options.rpc_attempts = 1;
-  auto client =
-      AuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()}, client_options);
+  auto client = AuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()});
   ASSERT_TRUE(client.ok());
   auto after = client->AuditStructural(TestSpec());
   EXPECT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(replays->Value(), replays_before) << "a transport failure was replayed";
   server.Stop();
 }
 

@@ -21,7 +21,6 @@
 #include "src/obs/trace.h"
 #include "src/pia/psop.h"
 #include "src/svc/client.h"
-#include "src/svc/mux_client.h"
 #include "src/svc/pia_peer.h"
 #include "src/svc/proto.h"
 #include "src/svc/server.h"
@@ -859,7 +858,12 @@ TEST(AuditServerTest, GetProfileEndToEnd) {
   options.worker_threads = 2;
   AuditServer server(options);
   ASSERT_TRUE(server.Start().ok());
-  auto client = AuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()});
+  // An I/O budget shorter than the capture window: GetProfile's deadline
+  // must stretch past it.
+  AuditClientOptions client_options;
+  client_options.io_timeout_ms = 500;
+  auto client =
+      AuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()}, client_options);
   ASSERT_TRUE(client.ok()) << client.status().ToString();
   ASSERT_TRUE(client->ImportDepDb(TestDepDbText()).ok());
 
@@ -965,9 +969,9 @@ TEST(AuditServerTest, LegacyClientInteropIsByteIdentical) {
   server.Stop();
 }
 
-TEST(MuxClientTest, PipelinedRepliesCompleteOutOfOrder) {
+TEST(AuditClientTest, PipelinedRepliesCompleteOutOfOrder) {
   // A hand-rolled server reads a batch of pipelined requests, then answers
-  // them in reverse order, echoing each request's payload and id. The mux
+  // them in reverse order, echoing each request's payload and id. The
   // client must pair every completion by id — last-issued resolves first.
   auto listener = net::TcpListen(0);
   ASSERT_TRUE(listener.ok());
@@ -994,9 +998,9 @@ TEST(MuxClientTest, PipelinedRepliesCompleteOutOfOrder) {
     (void)conn->RecvAll(&eof_probe, 1, 5000);
   });
 
-  MuxClientOptions options;
+  AuditClientOptions options;
   options.window = kCalls + 1;
-  auto client = MuxAuditClient::Connect(net::Endpoint{"127.0.0.1", *port}, options);
+  auto client = AuditClient::Connect(net::Endpoint{"127.0.0.1", *port}, options);
   ASSERT_TRUE(client.ok()) << client.status().ToString();
   std::mutex mu;
   std::condition_variable cv;
@@ -1028,16 +1032,16 @@ TEST(MuxClientTest, PipelinedRepliesCompleteOutOfOrder) {
   fake_server.join();
 }
 
-TEST(MuxClientTest, ManyConcurrentAuditsAgainstReactor) {
+TEST(AuditClientTest, ManyConcurrentAuditsAgainstReactor) {
   AuditServerOptions options;
   options.worker_threads = 4;
   options.reactor_shards = 2;
   AuditServer server(options);
   ASSERT_TRUE(server.Start().ok());
-  MuxClientOptions mux_options;
-  mux_options.connections = 2;
-  mux_options.window = 64;
-  auto client = MuxAuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()}, mux_options);
+  AuditClientOptions client_options;
+  client_options.connections = 2;
+  client_options.window = 64;
+  auto client = AuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()}, client_options);
   ASSERT_TRUE(client.ok()) << client.status().ToString();
   ASSERT_TRUE(client->ImportDepDb(TestDepDbText()).ok());
 
@@ -1073,10 +1077,10 @@ TEST(MuxClientTest, ManyConcurrentAuditsAgainstReactor) {
   server.Stop();
 }
 
-TEST(MuxClientTest, StalePooledConnectionRevivedAfterServerSideClose) {
+TEST(AuditClientTest, StalePooledConnectionRevivedAfterServerSideClose) {
   // A pooled connection the server closed while the client sat idle must
   // not poison the slot: the next call gets a fresh socket transparently
-  // and svc.client.mux_reconnects records the revival.
+  // and svc.client.reconnects records the revival.
   auto listener = net::TcpListen(0);
   ASSERT_TRUE(listener.ok());
   auto port = listener->LocalPort();
@@ -1105,12 +1109,12 @@ TEST(MuxClientTest, StalePooledConnectionRevivedAfterServerSideClose) {
   });
 
   const uint64_t reconnects_before = CounterValue(
-      obs::MetricsRegistry::Global().Snapshot(), "svc.client.mux_reconnects");
+      obs::MetricsRegistry::Global().Snapshot(), "svc.client.reconnects");
   const uint64_t failures_before = CounterValue(
-      obs::MetricsRegistry::Global().Snapshot(), "svc.client.mux_conn_failures");
-  MuxClientOptions options;
+      obs::MetricsRegistry::Global().Snapshot(), "svc.client.conn_failures");
+  AuditClientOptions options;
   options.connections = 1;  // one slot, so both calls route to it
-  auto client = MuxAuditClient::Connect(net::Endpoint{"127.0.0.1", *port}, options);
+  auto client = AuditClient::Connect(net::Endpoint{"127.0.0.1", *port}, options);
   ASSERT_TRUE(client.ok()) << client.status().ToString();
   EXPECT_TRUE(client->Ping().ok());
 
@@ -1120,7 +1124,7 @@ TEST(MuxClientTest, StalePooledConnectionRevivedAfterServerSideClose) {
   for (int i = 0; i < 300; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
     const uint64_t now = CounterValue(obs::MetricsRegistry::Global().Snapshot(),
-                                      "svc.client.mux_conn_failures");
+                                      "svc.client.conn_failures");
     if (now > failures_before) {
       break;
     }
@@ -1129,10 +1133,193 @@ TEST(MuxClientTest, StalePooledConnectionRevivedAfterServerSideClose) {
   Status second = client->Ping();
   EXPECT_TRUE(second.ok()) << second.ToString();
   const uint64_t reconnects_after = CounterValue(
-      obs::MetricsRegistry::Global().Snapshot(), "svc.client.mux_reconnects");
+      obs::MetricsRegistry::Global().Snapshot(), "svc.client.reconnects");
   EXPECT_GT(reconnects_after, reconnects_before);
   client->Shutdown();
   fake_server.join();
+}
+
+uint64_t ClientCounter(const char* name) {
+  return obs::MetricsRegistry::Global().GetCounter(name)->Value();
+}
+
+// A hand-rolled audit server for the client's failure rules; it logs the
+// type of every request frame it reads. kSilent never answers. kHangUpOnce
+// closes the first connection right after reading its first request, then
+// answers every later request with an empty reply of the expected type.
+class ScriptedServer {
+ public:
+  enum class Mode { kSilent, kHangUpOnce };
+
+  explicit ScriptedServer(Mode mode) : mode_(mode) {
+    auto listener = net::TcpListen(0);
+    EXPECT_TRUE(listener.ok());
+    listener_ = std::move(*listener);
+    port_ = *listener_.LocalPort();
+    thread_ = std::thread([this] { Run(); });
+  }
+  ~ScriptedServer() {
+    stop_ = true;
+    thread_.join();
+  }
+
+  net::Endpoint endpoint() const { return net::Endpoint{"127.0.0.1", port_}; }
+
+  size_t Received(MsgType type) {
+    std::lock_guard<std::mutex> lock(mu_);
+    return std::count(received_.begin(), received_.end(), type);
+  }
+
+ private:
+  static std::pair<MsgType, std::string> EmptyReply(MsgType request) {
+    switch (request) {
+      case MsgType::kAuditRequest:
+        return {MsgType::kAuditReport, EncodeSiaAuditReport(SiaAuditReport{})};
+      case MsgType::kImportDepDb:
+        return {MsgType::kImportAck, EncodeImportAck(ImportAck{})};
+      case MsgType::kGetProfile:
+        return {MsgType::kProfileReply, EncodeProfileReply(ProfileReply{})};
+      default:
+        return {MsgType::kPong, ""};
+    }
+  }
+
+  void Run() {
+    bool hung_up = false;
+    while (!stop_) {
+      auto conn = net::TcpAccept(listener_, 20);
+      while (conn.ok() && !stop_) {
+        if (conn->WaitReadable(20).code() == StatusCode::kDeadlineExceeded) {
+          continue;
+        }
+        auto frame = net::ReadFrame(*conn, net::FrameLimits{}, 2000);
+        if (!frame.ok()) {
+          break;  // the client closed this connection
+        }
+        const MsgType type = static_cast<MsgType>(frame->type);
+        {
+          std::lock_guard<std::mutex> lock(mu_);
+          received_.push_back(type);
+        }
+        if (mode_ == Mode::kSilent) {
+          continue;
+        }
+        if (!hung_up) {
+          hung_up = true;
+          break;
+        }
+        auto [reply, payload] = EmptyReply(type);
+        if (!net::WriteFrame(*conn, static_cast<uint8_t>(reply), payload, 2000, {},
+                             frame->request_id)
+                 .ok()) {
+          break;
+        }
+      }
+    }
+  }
+
+  const Mode mode_;
+  net::Socket listener_;
+  uint16_t port_ = 0;
+  std::atomic<bool> stop_{false};
+  std::thread thread_;
+  std::mutex mu_;
+  std::vector<MsgType> received_;
+};
+
+TEST(AuditClientTest, SilentServerEndsRequestsAtTheirDeadline) {
+  // A server that reads a request and never answers must not hang the
+  // caller: the request ends with kDeadlineExceeded at io_timeout_ms and
+  // fails its connection. An idempotent request is re-sent once first.
+  ScriptedServer server(ScriptedServer::Mode::kSilent);
+  AuditClientOptions options;
+  options.io_timeout_ms = 300;
+  auto client = AuditClient::Connect(server.endpoint(), options);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  const uint64_t replays_before = ClientCounter("svc.client.rpc_replays");
+  const uint64_t failures_before = ClientCounter("svc.client.conn_failures");
+
+  WallTimer timer;
+  auto import = client->Call(MsgType::kImportDepDb, "records", MsgType::kImportAck);
+  EXPECT_EQ(import.status().code(), StatusCode::kDeadlineExceeded)
+      << import.status().ToString();
+  EXPECT_GE(timer.ElapsedMillis(), 250.0);
+  EXPECT_LT(timer.ElapsedMillis(), 300.0 + 700.0);
+  EXPECT_EQ(ClientCounter("svc.client.conn_failures"), failures_before + 1);
+  EXPECT_EQ(ClientCounter("svc.client.rpc_replays"), replays_before);
+
+  timer.Reset();
+  Status ping = client->Ping();
+  EXPECT_EQ(ping.code(), StatusCode::kDeadlineExceeded) << ping.ToString();
+  EXPECT_LT(timer.ElapsedMillis(), 2 * 300.0 + 700.0);
+  EXPECT_EQ(ClientCounter("svc.client.rpc_replays"), replays_before + 1);
+  EXPECT_EQ(server.Received(MsgType::kImportDepDb), 1u);
+  EXPECT_EQ(server.Received(MsgType::kPing), 2u);
+
+  // A GetProfile in flight has a deadline seconds out; a ping sent behind
+  // it on the same connection must still end at its own deadline.
+  ProfileRequest profile;
+  profile.seconds = 5;
+  Status profiled;
+  std::thread profiler([&] { profiled = client->GetProfile(profile).status(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  timer.Reset();
+  ping = client->Ping();
+  EXPECT_EQ(ping.code(), StatusCode::kDeadlineExceeded) << ping.ToString();
+  EXPECT_LT(timer.ElapsedMillis(), 2 * 300.0 + 700.0);
+  profiler.join();
+  EXPECT_EQ(profiled.code(), StatusCode::kDeadlineExceeded) << profiled.ToString();
+  EXPECT_LT(timer.ElapsedMillis(), 2 * 300.0 + 700.0);
+  EXPECT_EQ(server.Received(MsgType::kGetProfile), 1u);
+}
+
+TEST(AuditClientTest, IdempotentRequestsReplayOnceAfterHangUp) {
+  for (MsgType type : {MsgType::kPing, MsgType::kAuditRequest}) {
+    ScriptedServer server(ScriptedServer::Mode::kHangUpOnce);
+    auto client = AuditClient::Connect(server.endpoint());
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    const uint64_t replays_before = ClientCounter("svc.client.rpc_replays");
+    Status status = type == MsgType::kPing ? client->Ping()
+                                           : client->AuditStructural(TestSpec()).status();
+    EXPECT_TRUE(status.ok()) << MsgTypeName(type) << ": " << status.ToString();
+    EXPECT_EQ(ClientCounter("svc.client.rpc_replays"), replays_before + 1) << MsgTypeName(type);
+    EXPECT_EQ(server.Received(type), 2u) << MsgTypeName(type);
+  }
+}
+
+TEST(AuditClientTest, ImportAndProfileAreNeverReplayed) {
+  for (MsgType type : {MsgType::kImportDepDb, MsgType::kGetProfile}) {
+    ScriptedServer server(ScriptedServer::Mode::kHangUpOnce);
+    auto client = AuditClient::Connect(server.endpoint());
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    const uint64_t replays_before = ClientCounter("svc.client.rpc_replays");
+    Status status = type == MsgType::kImportDepDb
+                        ? client->ImportDepDb(TestDepDbText()).status()
+                        : client->GetProfile(ProfileRequest{}).status();
+    EXPECT_EQ(status.code(), StatusCode::kUnavailable) << MsgTypeName(type) << ": "
+                                                       << status.ToString();
+    EXPECT_EQ(ClientCounter("svc.client.rpc_replays"), replays_before) << MsgTypeName(type);
+    // The next request revives the connection; once it is answered, the
+    // server has read everything sent before it.
+    EXPECT_TRUE(client->Ping().ok());
+    EXPECT_EQ(server.Received(type), 1u) << MsgTypeName(type);
+  }
+}
+
+TEST(AuditClientTest, IdleClientShutsDownAtOnce) {
+  // Shutdown wakes the reader with shutdown(2) instead of letting it sit
+  // out a poll slice, so a connect/use/destroy cycle costs no idle wait.
+  // The ping leaves the reader blocked on an idle socket.
+  AuditServer server;
+  ASSERT_TRUE(server.Start().ok());
+  WallTimer timer;
+  for (int i = 0; i < 20; ++i) {
+    auto client = AuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()});
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    ASSERT_TRUE(client->Ping().ok());
+  }
+  EXPECT_LT(timer.ElapsedMillis(), 400.0);
+  server.Stop();
 }
 
 TEST(AuditServerTest, ShedsLoadBeyondInflightCapWithUnavailable) {
@@ -1293,7 +1480,7 @@ TEST(AuditServerTest, IdleConnectionSurvivesReadDeadline) {
 }
 
 TEST(AuditServerTest, StatsScrapeRacesReactorLoadCleanly) {
-  // A scraper hammers the registry snapshot while a mux client drives
+  // A scraper hammers the registry snapshot while a pipelined client drives
   // pipelined load through the reactor — the TSan build proves the whole
   // reactor/pool/scrape weave is race-free.
   AuditServerOptions options;
@@ -1308,10 +1495,10 @@ TEST(AuditServerTest, StatsScrapeRacesReactorLoadCleanly) {
       (void)snapshot;
     }
   });
-  MuxClientOptions mux_options;
-  mux_options.connections = 2;
-  mux_options.window = 32;
-  auto client = MuxAuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()}, mux_options);
+  AuditClientOptions client_options;
+  client_options.connections = 2;
+  client_options.window = 32;
+  auto client = AuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()}, client_options);
   ASSERT_TRUE(client.ok());
   for (int i = 0; i < 200; ++i) {
     ASSERT_TRUE(client->Ping().ok()) << i;
