@@ -25,6 +25,7 @@
 #include "src/util/stats.h"
 #include "src/util/strings.h"
 #include "src/util/timer.h"
+#include "tests/ring_oracle.h"
 
 using namespace indaas;
 
@@ -70,7 +71,7 @@ struct RealPoint {
   double measured_wall_s = 0;   // wall time of the whole socket session
   double estimated_wall_s = 0;  // NetworkModel estimate on the measured stats
   uint64_t bytes_sent = 0;      // real wire bytes, summed over the peers
-  bool matches_inprocess = false;
+  bool matches_plaintext = false;  // every peer reports the plaintext oracle's counts
 };
 
 // Runs the socket-backed ring over loopback: k threads, each one PiaPeer.
@@ -118,14 +119,10 @@ Result<RealPoint> RunRealPoint(const std::vector<std::vector<std::string>>& data
     point.bytes_sent += stats.bytes_sent;
   }
   point.jaccard = results[0]->jaccard;
-  INDAAS_ASSIGN_OR_RETURN(PsopResult reference, RunPsop(datasets, psop));
-  point.matches_inprocess = true;
+  const RingCounts reference = ExactRingOracle(datasets);
+  point.matches_plaintext = true;
   for (size_t i = 0; i < k; ++i) {
-    if (results[i]->jaccard != reference.jaccard ||
-        results[i]->intersection != reference.intersection ||
-        results[i]->union_size != reference.union_size) {
-      point.matches_inprocess = false;
-    }
+    point.matches_plaintext = point.matches_plaintext && MatchesOracle(*results[i], reference);
   }
   return point;
 }
@@ -158,12 +155,12 @@ std::string PointsToJson(const std::vector<MethodPoint>& methods,
     json += StrFormat(
         "    {\"k\": %zu, \"n\": %zu, \"jaccard\": %.6f, \"measured_wall_s\": %.6f, "
         "\"estimated_wall_s\": %.6f, \"delta_s\": %.6f, \"delta_ratio\": %.4f, "
-        "\"bytes_sent\": %llu, \"matches_inprocess\": %s}%s\n",
+        "\"bytes_sent\": %llu, \"matches_plaintext\": %s}%s\n",
         p.k, p.n, p.jaccard, p.measured_wall_s, p.estimated_wall_s,
         p.measured_wall_s - p.estimated_wall_s,
         p.estimated_wall_s > 0 ? p.measured_wall_s / p.estimated_wall_s : 0.0,
         static_cast<unsigned long long>(p.bytes_sent),
-        p.matches_inprocess ? "true" : "false", i + 1 < real_points.size() ? "," : "");
+        p.matches_plaintext ? "true" : "false", i + 1 < real_points.size() ? "," : "");
   }
   json += "  ]\n}\n";
   return json;
@@ -305,13 +302,13 @@ int main(int argc, char** argv) {
                            HumanSeconds(point->measured_wall_s),
                            HumanSeconds(point->estimated_wall_s),
                            HumanSeconds(point->measured_wall_s - point->estimated_wall_s),
-                           point->matches_inprocess ? "yes" : "NO"});
+                           point->matches_plaintext ? "yes" : "NO"});
         points.push_back(*point);
       }
     }
     real_table.Print();
     std::printf("\nDelta is what the model leaves out: thread scheduling, syscalls and\n"
-                "loopback's real bandwidth. Jaccard must match the in-process engine.\n");
+                "loopback's real bandwidth. Jaccard must match the plaintext oracle.\n");
   }
   if (!json_out.empty()) {
     if (Status s = WriteFile(json_out, PointsToJson(method_points, points)); !s.ok()) {

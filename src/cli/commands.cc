@@ -447,10 +447,10 @@ Status RunPiaCommand(int argc, char** argv) {
                                   method_name + "')");
     }
   }
-  if (sketch_k < 1 || sketch_k > UINT16_MAX) {
+  if (sketch_k < 1 || sketch_k > kMaxSketchK) {
     return InvalidArgumentError(
         StrFormat("--sketch-k=%lld is outside [1, %u]",
-                  static_cast<long long>(sketch_k), UINT16_MAX));
+                  static_cast<long long>(sketch_k), kMaxSketchK));
   }
   if (lsh_bands < 0 || lsh_bands > UINT16_MAX || lsh_rows < 0 || lsh_rows > UINT16_MAX) {
     return InvalidArgumentError("--lsh-bands/--lsh-rows must be in [0, 65535]");

@@ -15,8 +15,11 @@
 // perform the same operations in the same per-connection order inject the
 // same faults — replayable from the seed alone. Thread interleaving across
 // *different* connections does not perturb any connection's own fault
-// sequence, because connection sequence numbers are assigned in first-touch
-// order and every counter is per-connection.
+// sequence once numbered, because every counter is per-connection. But
+// connection sequence numbers are assigned in first-touch order, so when
+// several threads open connections at once — the k peer threads of an
+// in-process ring drill — which connection gets which number, and hence
+// which faults, varies from run to run: such drills do not replay exactly.
 //
 // Fault classes and their observable effect:
 //   reset          SendSome/RecvSome: shutdown(2) both directions, then

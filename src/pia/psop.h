@@ -6,15 +6,21 @@
 // disambiguated) elements into the group, encrypts them under its own key,
 // permutes them, and forwards to its ring successor; after k hops every
 // dataset is encrypted under *all* keys, at which point equal plaintexts have
-// equal ciphertexts and the parties can count |∩ S_i| and |∪ S_i| — hence the
-// Jaccard similarity — without seeing each other's elements.
+// equal ciphertexts, and k - 1 all-gather rounds let every party count
+// |∩ S_i| and |∪ S_i| — hence the Jaccard similarity — without seeing each
+// other's elements. The sketch exchange all-gathers MinHash registers
+// instead, with no encryption.
 //
-// The simulation runs all parties in-process but performs every cryptographic
-// operation for real and accounts every byte that would cross the network.
+// The protocol is written once, as the per-party step machine RingParty
+// below. RunPsop* step every party on the caller's thread, performing every
+// cryptographic operation for real and metering every byte that would cross
+// the network; src/svc/pia_peer.h steps one party per peer over TCP.
 
 #ifndef SRC_PIA_PSOP_H_
 #define SRC_PIA_PSOP_H_
 
+#include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -54,11 +60,10 @@ struct PsopResult {
 
 // Multiset disambiguation (§4.2.2): occurrence t of element e becomes
 // "e||t", making every party's elements unique while preserving multiset
-// intersection semantics. Shared with the socket-backed peers so both
-// engines hash identical plaintexts.
+// intersection semantics.
 std::vector<std::string> DisambiguateMultiset(const std::vector<std::string>& elements);
 
-// The per-element crypto of a ring party, shared by both engines. Each
+// The per-element crypto of a ring party (RingParty below). Each
 // element is a full modexp under the party's one key, so the elements go
 // in chunks of eight to CommutativeKey::EncryptBatch (the IFMA batch kernel
 // where the CPU has it), and more than one chunk is spread over the shared
@@ -75,9 +80,72 @@ std::vector<BigUint> HashAndEncrypt(const CommutativeGroup& group, const Commuta
 void EncryptInPlace(const CommutativeGroup& group, const CommutativeKey& key,
                     std::vector<BigUint>& elements);
 
+// --- The ring, one party at a time. A party runs Start, then Step on each
+// message from its predecessor until Step says it is done, then Finish.
+// Each message it returns goes to its successor, one per exchange, so a
+// ring runs in lockstep. Runners meter the bytes; the party its compute.
+
+enum class RingMode { kExact, kSketch };
+
+// One exchange: a set on a ring hop (kDataset) or an all-gather round
+// (kShare), or a sketch. `origin` is the original ring index of its owner.
+struct RingMessage {
+  enum class Kind : uint8_t { kDataset, kShare, kSketch };
+  Kind kind = Kind::kDataset;
+  uint32_t origin = 0;
+  uint32_t element_bytes = 0;       // exact kinds
+  std::vector<BigUint> elements;    // exact kinds
+  std::vector<uint32_t> registers;  // kSketch
+};
+
+struct RingConfig {
+  RingMode mode = RingMode::kExact;
+  PsopOptions psop;
+  uint32_t sketch_k = 0;          // sketch mode only
+  std::vector<uint32_t> members;  // the ring in order, as original indices
+  size_t position = 0;            // this party's slot in `members`
+};
+
+class RingParty {
+ public:
+  // Rejects fewer than two members, a position outside the ring and, in
+  // sketch mode, a sketch_k ValidateSketchK rejects, before allocating.
+  // An exact party draws its key and shuffles from
+  // Rng(seed + 0x9E3779B97F4A7C15 * (original index + 1)). Compute time
+  // and encryptions go to *stats, which must outlive the party.
+  static Result<RingParty> Create(RingConfig config, PartyStats* stats);
+
+  // Phase 0 (hash, encrypt and shuffle, or sketch); the first message.
+  Result<RingMessage> Start(const std::vector<std::string>& dataset);
+
+  // Checks the message's kind, origin and element width or register count;
+  // returns the next message, or nullopt when the ring is done.
+  Result<std::optional<RingMessage>> Step(RingMessage in);
+
+  // The counts and Jaccard division, once Step returned nullopt.
+  PsopResult Finish();
+
+  PartyMeter& meter() { return meter_; }
+
+ private:
+  RingParty(RingConfig config, PartyStats* stats);
+
+  RingConfig config_;
+  PartyMeter meter_;
+  Rng rng_;
+  std::optional<CommutativeGroup> group_;   // exact mode
+  std::optional<CommutativeKey> key_;       // exact mode
+  size_t received_ = 0;                     // messages stepped so far
+  std::map<std::string, size_t> presence_;  // exact: ciphertext -> #sets holding it
+  std::vector<uint32_t> own_;               // sketch: this party's registers
+  std::vector<uint8_t> agree_;              // sketch: 1 while every sketch agrees
+};
+
 // Runs the protocol over the parties' datasets (one vector<string> each).
 // Requires >= 2 parties; datasets may contain duplicates (handled via the
-// e||1..e||t disambiguation from §4.2.2).
+// e||1..e||t disambiguation from §4.2.2). Each party's element bytes are
+// metered per hop, so a party sends its share of the k ring hops plus the
+// k - 1 all-gather rounds: (2·total − |successor's set|)·element_bytes.
 Result<PsopResult> RunPsop(const std::vector<std::vector<std::string>>& datasets,
                            const PsopOptions& options = {});
 
@@ -86,19 +154,27 @@ Result<PsopResult> RunPsop(const std::vector<std::vector<std::string>>& datasets
 // estimated as |∩| / m. Far cheaper for large sets, at accuracy O(1/sqrt(m)).
 // Sampling is the arg-min of the src/sketch register hashes, so the sampled
 // elements — like the registers themselves — are identical across runs and
-// hosts for a given seed (tests/pia_test.cc cross-checks the two).
+// hosts for a given seed (tests/pia_test.cc cross-checks the two). Requires
+// 1 <= m <= kMaxSketchK.
 Result<PsopResult> RunPsopWithMinHash(const std::vector<std::vector<std::string>>& datasets,
                                       size_t m, const PsopOptions& options = {});
 
-// Seed every sketch-exchange party derives from the protocol seed; shared
-// between the in-process engine below and the socket-backed peers
-// (src/svc/pia_peer.cc) so both produce byte-identical registers.
+// Seed every sketch-exchange party derives from the protocol seed, so all
+// parties of a ring sketch under the same hashes.
 uint64_t PsopSketchSeed(uint64_t protocol_seed);
 
-// Per-hop framing overhead the in-process simulation charges on top of the
-// raw register bytes (origin + length header; the socket engine accounts
-// real frame bytes instead).
+// Per-hop framing overhead the in-process runner charges on top of the raw
+// register bytes (origin + length header; the socket runner meters real
+// frame bytes instead).
 inline constexpr size_t kSketchHopOverheadBytes = 8;
+
+// Largest sketch (and MinHash sample) any runner accepts: the register
+// count travels as a u16 in the sketch-params frame extension, and the cap
+// bounds what a remote request can make the server allocate.
+inline constexpr uint32_t kMaxSketchK = 65535;
+
+// kInvalidArgument unless 1 <= sketch_k <= kMaxSketchK.
+Status ValidateSketchK(uint64_t sketch_k);
 
 // Sketch-exchange variant (DESIGN.md §8): each party compresses its set to a
 // sketch_k-register MinHash sketch and the ring all-gathers the sketches in
@@ -110,7 +186,8 @@ inline constexpr size_t kSketchHopOverheadBytes = 8;
 // registers rather than ciphertexts, which leaks membership to an adversary
 // who can enumerate the element universe — the report flags the mode
 // accordingly. Result fields: intersection = #agreeing registers,
-// union_size = sketch_k, jaccard = intersection / sketch_k.
+// union_size = sketch_k, jaccard = intersection / sketch_k. Each party sends
+// k - 1 hops of kSketchHopOverheadBytes + SketchBytes(sketch_k).
 Result<PsopResult> RunPsopWithSketch(const std::vector<std::vector<std::string>>& datasets,
                                      uint32_t sketch_k, const PsopOptions& options = {});
 

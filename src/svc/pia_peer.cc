@@ -2,17 +2,15 @@
 
 #include <algorithm>
 #include <chrono>
-#include <map>
+#include <numeric>
 #include <poll.h>
-#include <set>
 #include <thread>
+#include <tuple>
 
-#include "src/crypto/commutative.h"
 #include "src/obs/log.h"
 #include "src/obs/metrics.h"
 #include "src/obs/propagate.h"
 #include "src/obs/trace.h"
-#include "src/sketch/sketch.h"
 #include "src/svc/proto.h"
 #include "src/util/strings.h"
 
@@ -32,38 +30,31 @@ constexpr int kAcceptSliceMs = 200;
 // between the probe connection and its own listener.
 constexpr int kProbeSliceMs = 10;
 
-uint32_t MembershipMask(const std::vector<uint32_t>& members) {
-  uint32_t mask = 0;
-  for (uint32_t index : members) {
-    mask |= 1u << index;
+// The frame type of each RingMessage::Kind.
+constexpr MsgType kRingFrameType[] = {MsgType::kPsopDataset, MsgType::kPsopShare,
+                                      MsgType::kPsopSketch};
+
+std::string EncodeRingFrame(const RingMessage& message, const obs::TraceContext& session,
+                            const net::FrameSketchParams& geometry,
+                            const net::FrameRingMembership& ring) {
+  return net::EncodeFrame(static_cast<uint8_t>(kRingFrameType[static_cast<int>(message.kind)]),
+                          message.kind == RingMessage::Kind::kSketch ? EncodePsopSketch(message)
+                                                                     : EncodePsopDataset(message),
+                          session, /*request_id=*/0, geometry, ring);
+}
+
+Result<RingMessage> DecodeRingFrame(const net::Frame& frame) {
+  const auto* type = std::find(std::begin(kRingFrameType), std::end(kRingFrameType),
+                               static_cast<MsgType>(frame.type));
+  if (type == std::end(kRingFrameType)) {
+    return ProtocolError(StrFormat("ring round got frame type %u", frame.type));
   }
-  return mask;
-}
-
-// Only transport-level faults are worth a ring reformation; a protocol
-// violation or a local error re-occurs on retry and fails typed instead.
-bool RecoverableRingError(const Status& status) {
-  return status.code() == StatusCode::kUnavailable ||
-         status.code() == StatusCode::kDeadlineExceeded;
-}
-
-obs::Counter* DegradedAudits() {
-  static obs::Counter* counter =
-      obs::MetricsRegistry::Global().GetCounter("svc.degraded_audits");
-  return counter;
-}
-
-obs::Counter* RingRecoveries() {
-  static obs::Counter* counter =
-      obs::MetricsRegistry::Global().GetCounter("pia.ring_recoveries");
-  return counter;
-}
-
-// The pump assembles frames itself, so it counts them by hand (ReadFrame
-// does this for blocking readers); net::EncodeFrame counts the sends.
-obs::Counter* FramesRecv() {
-  static obs::Counter* counter = obs::MetricsRegistry::Global().GetCounter("net.frames_recv");
-  return counter;
+  const auto kind = static_cast<RingMessage::Kind>(type - std::begin(kRingFrameType));
+  INDAAS_ASSIGN_OR_RETURN(RingMessage message, kind == RingMessage::Kind::kSketch
+                                                   ? DecodePsopSketch(frame.payload)
+                                                   : DecodePsopDataset(frame.payload));
+  message.kind = kind;
+  return message;
 }
 
 }  // namespace
@@ -114,15 +105,11 @@ Result<net::Frame> ExchangeFrames(net::Socket& tx, std::string_view out_bytes,
     fds[nfds] = {rx.fd(), POLLIN, 0};
     rx_slot = nfds++;
     int rc = ::poll(fds, static_cast<nfds_t>(nfds), timeout_ms - elapsed_ms);
-    if (rc < 0) {
-      if (errno == EINTR) {
-        continue;
+    if (rc <= 0) {
+      if (rc == 0 || errno == EINTR) {
+        continue;  // the deadline check above ends a silent wait
       }
       return InternalError("ExchangeFrames: poll failed");
-    }
-    if (rc == 0) {
-      return DeadlineExceededError(
-          StrFormat("ring round stalled for %d ms (peer hung or partitioned)", timeout_ms));
     }
     size_t moved = 0;
     if (tx_slot >= 0 && (fds[tx_slot].revents & (POLLOUT | POLLERR | POLLHUP))) {
@@ -161,7 +148,11 @@ Result<net::Frame> ExchangeFrames(net::Socket& tx, std::string_view out_bytes,
     }
   }
   frame.payload = std::move(in_buffer);
-  FramesRecv()->Increment();
+  // The pump assembles frames itself, so it counts them by hand (ReadFrame
+  // does this for blocking readers); net::EncodeFrame counts the sends.
+  static obs::Counter* frames_recv =
+      obs::MetricsRegistry::Global().GetCounter("net.frames_recv");
+  frames_recv->Increment();
   return frame;
 }
 
@@ -173,31 +164,37 @@ Result<PiaPeer> PiaPeer::Listen(uint16_t port) {
 
 Result<PsopResult> PiaPeer::RunPsop(const std::vector<std::string>& dataset,
                                     const PiaPeerOptions& options) {
+  return RunRing(RingMode::kExact, dataset, options);
+}
+
+Result<PsopResult> PiaPeer::RunPsopWithSketch(const std::vector<std::string>& dataset,
+                                              const PiaPeerOptions& options) {
+  return RunRing(RingMode::kSketch, dataset, options);
+}
+
+Result<PsopResult> PiaPeer::RunRing(RingMode mode, const std::vector<std::string>& dataset,
+                                    const PiaPeerOptions& options) {
   const size_t k = options.peers.size();
   const size_t self = options.self_index;
-  if (k < 2) {
-    return InvalidArgumentError("PiaPeer::RunPsop: need at least two ring peers");
-  }
   if (self >= k) {
-    return InvalidArgumentError(StrFormat("PiaPeer::RunPsop: self_index %zu out of ring of %zu",
-                                          self, k));
+    return InvalidArgumentError(StrFormat("PiaPeer: self_index %zu out of ring of %zu", self, k));
   }
   if (options.allow_degraded && k > kMaxDegradedRing) {
     return InvalidArgumentError(StrFormat(
-        "PiaPeer::RunPsop: degraded recovery supports at most %zu peers (membership bitmask "
-        "width), ring has %zu",
+        "PiaPeer: degraded recovery supports at most %zu peers (membership bitmask width), "
+        "ring has %zu",
         kMaxDegradedRing, k));
+  }
+  if (mode == RingMode::kSketch &&
+      (options.lsh_bands > UINT16_MAX || options.lsh_rows > UINT16_MAX)) {
+    return InvalidArgumentError("PiaPeer: LSH geometry exceeds u16");
   }
 
   std::vector<uint32_t> members(k);
-  for (size_t i = 0; i < k; ++i) {
-    members[i] = static_cast<uint32_t>(i);
-  }
+  std::iota(members.begin(), members.end(), 0u);
   PendingHello pending;
-
-  uint32_t attempt = 0;
-  for (;;) {
-    Result<PsopResult> run = RunPsopAttempt(dataset, options, members, attempt, &pending);
+  for (uint32_t attempt = 0;; ++attempt) {
+    Result<PsopResult> run = RunAttempt(mode, dataset, options, members, attempt, &pending);
     if (run.ok()) {
       PsopResult result = std::move(*run);
       result.recovery_attempts = attempt;
@@ -207,7 +204,7 @@ Result<PsopResult> PiaPeer::RunPsop(const std::vector<std::string>& dataset,
         }
       }
       if (result.degraded()) {
-        DegradedAudits()->Increment();
+        obs::MetricsRegistry::Global().GetCounter("svc.degraded_audits")->Increment();
         INDAAS_SLOG(Warn, "pia.ring_degraded_result")
             .Kv("self", static_cast<uint64_t>(self))
             .Kv("survivors", static_cast<uint64_t>(members.size()))
@@ -216,18 +213,20 @@ Result<PsopResult> PiaPeer::RunPsop(const std::vector<std::string>& dataset,
       }
       return result;
     }
+    // Only transport faults are worth a ring reformation; a protocol
+    // violation or a local error re-occurs on retry and fails typed instead.
     const Status& error = run.status();
-    if (!options.allow_degraded || !RecoverableRingError(error) ||
-        attempt >= options.max_recovery_attempts) {
+    if (!options.allow_degraded || attempt >= options.max_recovery_attempts ||
+        (error.code() != StatusCode::kUnavailable &&
+         error.code() != StatusCode::kDeadlineExceeded)) {
       return error;
     }
-    ++attempt;
-    RingRecoveries()->Increment();
+    obs::MetricsRegistry::Global().GetCounter("pia.ring_recoveries")->Increment();
     INDAAS_SLOG(Warn, "pia.ring_fault")
         .Kv("self", static_cast<uint64_t>(self))
-        .Kv("attempt", static_cast<uint64_t>(attempt))
+        .Kv("attempt", static_cast<uint64_t>(attempt + 1))
         .Kv("error", error.ToString());
-    INDAAS_ASSIGN_OR_RETURN(members, ProbeSurvivors(options, attempt, &pending));
+    INDAAS_ASSIGN_OR_RETURN(members, ProbeSurvivors(options, attempt + 1, &pending));
     if (members.size() < 2) {
       return UnavailableError(StrFormat(
           "ring collapsed: only %zu of %zu peers alive after recovery probe", members.size(),
@@ -236,142 +235,110 @@ Result<PsopResult> PiaPeer::RunPsop(const std::vector<std::string>& dataset,
   }
 }
 
-Result<PsopResult> PiaPeer::RunPsopAttempt(const std::vector<std::string>& dataset,
-                                           const PiaPeerOptions& options,
-                                           const std::vector<uint32_t>& members,
-                                           uint32_t attempt, PendingHello* pending) {
-  const size_t k = options.peers.size();
+Result<PsopResult> PiaPeer::RunAttempt(RingMode mode, const std::vector<std::string>& dataset,
+                                       const PiaPeerOptions& options,
+                                       const std::vector<uint32_t>& members, uint32_t attempt,
+                                       PendingHello* pending) {
   const size_t m = members.size();
   const uint32_t self = static_cast<uint32_t>(options.self_index);
-  size_t pos = m;
-  for (size_t i = 0; i < m; ++i) {
-    if (members[i] == self) {
-      pos = i;
-    }
-  }
-  if (pos == m) {
-    return InternalError("reformed ring does not include this peer");
-  }
-  const uint32_t successor = members[(pos + 1) % m];
-  const uint32_t predecessor = members[(pos + m - 1) % m];
+  // Survivors always include this peer, and the party rejects a position
+  // outside the ring and a bad sketch size before any connection.
+  const size_t pos = std::find(members.begin(), members.end(), self) - members.begin();
+  std::vector<PartyStats> stats(options.peers.size());
+  INDAAS_ASSIGN_OR_RETURN(
+      RingParty party,
+      RingParty::Create(RingConfig{mode, options.psop, options.sketch_k, members, pos},
+                        &stats[self]));
 
-  // Attempt 0 is the pristine ring and stays extension-free on the wire;
-  // reformed rings stamp every frame so peers with a divergent membership
-  // view — or pre-upgrade peers that never learned the flag — fail closed.
+  // Every frame of a session carries the same extensions, hello included:
+  // sketch rings their geometry, reformed rings their membership, so a
+  // peer in the other mode, with other geometry, with a divergent view of
+  // who survived, or predating the flag bits fails closed. The pristine
+  // exact ring sends neither.
+  net::FrameSketchParams geometry;
+  if (mode == RingMode::kSketch) {
+    geometry = {static_cast<uint16_t>(options.sketch_k), static_cast<uint16_t>(options.lsh_bands),
+                static_cast<uint16_t>(options.lsh_rows)};
+  }
   net::FrameRingMembership ring;
   if (attempt > 0) {
     ring.attempt = static_cast<uint16_t>(attempt);
-    ring.members = MembershipMask(members);
+    for (uint32_t index : members) {
+      ring.members |= 1u << index;
+    }
   }
+  auto check_extensions = [&](const net::Frame& frame) -> Status {
+    if (frame.sketch == geometry && frame.ring == ring) {
+      return Status::Ok();
+    }
+    return ProtocolError(StrFormat(
+        "ring frame carries sketch k=%u bands=%u rows=%u, membership attempt %u mask 0x%08X; "
+        "want k=%u bands=%u rows=%u, attempt %u mask 0x%08X",
+        frame.sketch.k, frame.sketch.bands, frame.sketch.rows, frame.ring.attempt,
+        frame.ring.members, geometry.k, geometry.bands, geometry.rows, ring.attempt,
+        ring.members));
+  };
 
   // Ring peers all start at once — there is no originator whose context we
   // could adopt — so every peer derives the same session trace id from the
   // shared protocol seed, making one ring session one distributed trace.
   obs::TraceContext session{obs::DeriveTraceId(options.psop.seed), 0};
   obs::ScopedTraceContext session_trace(session);
-
-  INDAAS_TRACE_SPAN_NAMED(span, "pia.psop.socket");
+  INDAAS_TRACE_SPAN_NAMED(
+      span, mode == RingMode::kExact ? "pia.psop.socket" : "pia.psop.sketch.socket");
   span.Annotate("ring_size", std::to_string(m));
   span.Annotate("self", std::to_string(self));
   if (attempt > 0) {
     span.Annotate("attempt", std::to_string(attempt));
   }
 
-  // --- Ring setup: connect to the successor while the predecessor connects
-  // to us. Retry/backoff absorbs peers that start late.
+  // --- Ring setup: connect to the successor (retry/backoff absorbs peers
+  // that start late) and send our hello, which fits any send buffer even
+  // before the successor accepts; then take the predecessor's.
   INDAAS_ASSIGN_OR_RETURN(
-      net::Socket tx, net::ConnectWithRetry(options.peers[successor],
+      net::Socket tx, net::ConnectWithRetry(options.peers[members[(pos + 1) % m]],
                                             options.connect_timeout_ms, options.retry));
-
-  // --- Handshake: cross-check the ring geometry and crypto parameters.
-  PsopHello hello;
-  hello.ring_size = static_cast<uint32_t>(m);
-  hello.sender_index = self;
-  hello.group_bits = static_cast<uint32_t>(options.psop.group_bits);
-  hello.hash_algorithm = static_cast<uint8_t>(options.psop.hash);
-
+  const uint32_t predecessor = members[(pos + m - 1) % m];
+  const PsopHello hello{static_cast<uint32_t>(m), self,
+                        static_cast<uint32_t>(options.psop.group_bits),
+                        static_cast<uint8_t>(options.psop.hash)};
+  INDAAS_RETURN_IF_ERROR(net::WriteFrame(tx, static_cast<uint8_t>(MsgType::kPsopHello),
+                                         EncodePsopHello(hello), options.io_timeout_ms, session,
+                                         0, geometry, ring));
   net::Socket rx;
   net::Frame hello_frame;
-  if (!options.allow_degraded) {
-    // Pre-recovery path, preserved exactly: accept the predecessor, then
-    // trade hellos.
+  if (options.allow_degraded) {
+    // The listener must keep answering liveness probes from peers still
+    // deciding who survived, so inbound connections are classified until
+    // the predecessor's hello arrives.
+    INDAAS_ASSIGN_OR_RETURN(std::tie(rx, hello_frame),
+                            AwaitHello(options, attempt, options.io_timeout_ms, pending));
+  } else {
     INDAAS_ASSIGN_OR_RETURN(rx, net::TcpAccept(listener_, options.io_timeout_ms));
-    INDAAS_RETURN_IF_ERROR(net::WriteFrame(tx, static_cast<uint8_t>(MsgType::kPsopHello),
-                                           EncodePsopHello(hello), options.io_timeout_ms,
-                                           session));
     INDAAS_ASSIGN_OR_RETURN(hello_frame,
                             net::ReadFrame(rx, options.limits, options.io_timeout_ms));
-  } else {
-    // Recovery-capable path: send our hello first (it fits any send buffer
-    // even before the successor accepts), then classify inbound connections
-    // until the predecessor's hello arrives — the listener must keep
-    // answering liveness probes from peers still deciding who survived.
-    INDAAS_RETURN_IF_ERROR(net::WriteFrame(tx, static_cast<uint8_t>(MsgType::kPsopHello),
-                                           EncodePsopHello(hello), options.io_timeout_ms,
-                                           session, 0, {}, ring));
-    INDAAS_ASSIGN_OR_RETURN(auto accepted,
-                            AwaitHello(options, attempt, options.io_timeout_ms, pending));
-    rx = std::move(accepted.first);
-    hello_frame = std::move(accepted.second);
   }
-
   if (hello_frame.type != static_cast<uint8_t>(MsgType::kPsopHello)) {
     return ProtocolError("ring handshake: first frame was not a hello");
   }
-  if (attempt > 0) {
-    if (!hello_frame.ring.valid() || hello_frame.ring != ring) {
-      return ProtocolError(StrFormat(
-          "degraded ring handshake: predecessor sent attempt %u membership 0x%08X, want "
-          "attempt %u membership 0x%08X",
-          hello_frame.ring.attempt, hello_frame.ring.members, ring.attempt, ring.members));
-    }
-  } else if (hello_frame.ring.valid()) {
-    return ProtocolError(
-        "ring handshake: unexpected ring-membership extension on a pristine ring");
-  }
+  INDAAS_RETURN_IF_ERROR(check_extensions(hello_frame));
   INDAAS_ASSIGN_OR_RETURN(PsopHello peer_hello, DecodePsopHello(hello_frame.payload));
   if (peer_hello.ring_size != m || peer_hello.sender_index != predecessor) {
     return ProtocolError(StrFormat(
         "ring handshake mismatch: predecessor claims index %u of %u, expected %u of %zu",
         peer_hello.sender_index, peer_hello.ring_size, predecessor, m));
   }
-  if (peer_hello.group_bits != options.psop.group_bits ||
-      peer_hello.hash_algorithm != static_cast<uint8_t>(options.psop.hash)) {
+  if (mode == RingMode::kExact && (peer_hello.group_bits != hello.group_bits ||
+                                   peer_hello.hash_algorithm != hello.hash_algorithm)) {
     return ProtocolError("ring handshake mismatch: peers disagree on crypto parameters");
   }
 
-  // --- Crypto setup. Key material is local to this peer; only uniqueness
-  // across peers matters, so the seed folds in the *original* ring index —
-  // stable across reformations.
-  INDAAS_ASSIGN_OR_RETURN(CommutativeGroup group,
-                          CommutativeGroup::CreateWellKnown(options.psop.group_bits));
-  const size_t element_bytes = group.ElementBytes();
-  Rng rng(options.psop.seed + 0x9E3779B97F4A7C15ULL * (self + 1));
-  INDAAS_ASSIGN_OR_RETURN(CommutativeKey key, CommutativeKey::Generate(group, rng));
-
-  PsopResult result;
-  result.party_stats.assign(k, PartyStats{});
-  PartyMeter meter(&result.party_stats[self], "psop");
-
-  // --- Phase 0: hash into the group, first encryption, permutation
-  // (identical to the in-process engine's phase 0).
-  std::vector<BigUint> current;
-  {
-    INDAAS_TRACE_SPAN("pia.psop.encrypt_permute");
-    PartyComputeTimer timer(meter);
-    current = HashAndEncrypt(group, key, DisambiguateMultiset(dataset), options.psop.hash);
-    meter.AddEncryptOps(current.size());
-    rng.Shuffle(current);
-  }
-
-  // Sends `current` tagged with its origin while receiving the predecessor's
-  // dataset of the same round; validates type and origin on the way in.
-  // `xseq` numbers the session's exchanges: ring rounds are lockstep, so
-  // the same xseq on different peers is the same round — which is what
-  // trace-merge uses to align per-peer clocks.
+  // Sends this party's message of one exchange while receiving the
+  // predecessor's. `xseq` numbers the session's exchanges: ring rounds are
+  // lockstep, so the same xseq on different peers is the same round, which
+  // is what trace-merge uses to align per-peer clocks.
   size_t xseq = 0;
-  auto exchange = [&](MsgType type, uint32_t send_origin,
-                      uint32_t expect_origin) -> Result<std::vector<BigUint>> {
+  auto exchange = [&](const RingMessage& out) -> Result<RingMessage> {
     if (xseq >= options.fail_after_exchanges) {
       // Test seam: die abruptly. Closing both ring sockets cascades the
       // fault to the neighbours within one io timeout; the non-recoverable
@@ -383,101 +350,30 @@ Result<PsopResult> PiaPeer::RunPsopAttempt(const std::vector<std::string>& datas
     INDAAS_TRACE_SPAN_NAMED(hop_span, "pia.ring.exchange");
     hop_span.Annotate("xseq", std::to_string(xseq++));
     hop_span.Annotate("self", std::to_string(self));
-    PsopDataset out;
-    out.origin = send_origin;
-    out.element_bytes = static_cast<uint32_t>(element_bytes);
-    out.elements = std::move(current);
-    std::string out_bytes = net::EncodeFrame(static_cast<uint8_t>(type), EncodePsopDataset(out),
-                                             session, /*request_id=*/0, /*sketch=*/{}, ring);
-    meter.AddBytesSent(out_bytes.size());
+    const std::string out_bytes = EncodeRingFrame(out, session, geometry, ring);
+    party.meter().AddBytesSent(out_bytes.size());
     INDAAS_ASSIGN_OR_RETURN(
-        net::Frame frame, ExchangeFrames(tx, out_bytes, rx, options.limits,
-                                         options.io_timeout_ms));
-    if (frame.type != static_cast<uint8_t>(type)) {
-      return ProtocolError(StrFormat("ring round got frame type %u, want %u", frame.type,
-                                     static_cast<uint8_t>(type)));
-    }
-    if (attempt > 0) {
-      if (!frame.ring.valid() || frame.ring != ring) {
-        return ProtocolError("ring round: peer membership view diverged mid-session");
-      }
-    } else if (frame.ring.valid()) {
-      return ProtocolError("ring round: unexpected ring-membership extension on a pristine "
-                           "ring");
-    }
-    meter.AddBytesReceived(frame.wire_bytes);
-    INDAAS_ASSIGN_OR_RETURN(PsopDataset in, DecodePsopDataset(frame.payload));
-    if (in.origin != expect_origin) {
-      return ProtocolError(StrFormat("ring round got dataset of origin %u, want %u", in.origin,
-                                     expect_origin));
-    }
-    if (in.element_bytes != element_bytes) {
-      return ProtocolError("ring peers disagree on group element width");
-    }
-    return std::move(in.elements);
+        net::Frame frame,
+        ExchangeFrames(tx, out_bytes, rx, options.limits, options.io_timeout_ms));
+    party.meter().AddBytesReceived(frame.wire_bytes);
+    INDAAS_RETURN_IF_ERROR(check_extensions(frame));
+    return DecodeRingFrame(frame);
   };
-
-  // --- Phase 1: m ring hops; every hop encrypts and permutes, except the
-  // last, which returns each dataset to its fully-encrypted origin. Origins
-  // are *original* indices mapped through the surviving member list.
-  {
-    INDAAS_TRACE_SPAN("pia.psop.ring");
-    for (size_t hop = 0; hop < m; ++hop) {
-      uint32_t send_origin = members[(pos + m - hop) % m];
-      uint32_t expect_origin = members[(pos + m - hop - 1) % m];
-      INDAAS_ASSIGN_OR_RETURN(current, exchange(MsgType::kPsopDataset, send_origin,
-                                                expect_origin));
-      if (hop + 1 < m) {
-        PartyComputeTimer timer(meter);
-        EncryptInPlace(group, key, current);
-        meter.AddEncryptOps(current.size());
-        rng.Shuffle(current);
-      }
+  INDAAS_ASSIGN_OR_RETURN(RingMessage out, party.Start(dataset));
+  for (;;) {
+    INDAAS_ASSIGN_OR_RETURN(RingMessage in, exchange(out));
+    INDAAS_ASSIGN_OR_RETURN(std::optional<RingMessage> next, party.Step(std::move(in)));
+    if (!next) {
+      break;
     }
+    out = std::move(*next);
   }
-
-  // --- Phase 2: ring all-gather of the fully-encrypted datasets, counting
-  // as they arrive. Each dataset is charged once per forwarding hop, which
-  // totals the same m-1 transmissions the in-process broadcast accounts.
-  std::map<std::string, size_t> presence;  // ciphertext -> #parties holding it
-  auto count_dataset = [&](const std::vector<BigUint>& elements) {
-    PartyComputeTimer timer(meter);
-    std::set<std::string> local;
-    for (const BigUint& element : elements) {
-      local.insert(element.ToHex());
-    }
-    for (const std::string& ciphertext : local) {
-      ++presence[ciphertext];
-    }
-  };
-  {
-    INDAAS_TRACE_SPAN("pia.psop.share_count");
-    count_dataset(current);
-    for (size_t hop = 0; hop + 1 < m; ++hop) {
-      uint32_t send_origin = members[(pos + m - hop) % m];
-      uint32_t expect_origin = members[(pos + m - hop - 1) % m];
-      INDAAS_ASSIGN_OR_RETURN(current, exchange(MsgType::kPsopShare, send_origin,
-                                                expect_origin));
-      count_dataset(current);
-    }
-  }
-  {
-    PartyComputeTimer timer(meter);
-    result.union_size = presence.size();
-    for (const auto& [ciphertext, count] : presence) {
-      (void)ciphertext;
-      if (count == m) {
-        ++result.intersection;
-      }
-    }
-  }
-  result.jaccard = result.union_size == 0
-                       ? 0.0
-                       : static_cast<double>(result.intersection) /
-                             static_cast<double>(result.union_size);
-  static obs::Counter* sessions =
-      obs::MetricsRegistry::Global().GetCounter("pia.socket_sessions_total");
-  sessions->Increment();
+  PsopResult result = party.Finish();
+  result.party_stats = std::move(stats);
+  obs::MetricsRegistry::Global()
+      .GetCounter(mode == RingMode::kExact ? "pia.socket_sessions_total"
+                                           : "pia.sketch_socket_sessions_total")
+      ->Increment();
   return result;
 }
 
@@ -642,165 +538,6 @@ Result<std::pair<net::Socket, net::Frame>> PiaPeer::AwaitHello(const PiaPeerOpti
   }
   return DeadlineExceededError(StrFormat(
       "ring formation: predecessor hello did not arrive within %d ms", deadline_ms));
-}
-
-Result<PsopResult> PiaPeer::RunPsopWithSketch(const std::vector<std::string>& dataset,
-                                              const PiaPeerOptions& options) {
-  const size_t k = options.peers.size();
-  const size_t self = options.self_index;
-  if (k < 2) {
-    return InvalidArgumentError("PiaPeer::RunPsopWithSketch: need at least two ring peers");
-  }
-  if (self >= k) {
-    return InvalidArgumentError(StrFormat(
-        "PiaPeer::RunPsopWithSketch: self_index %zu out of ring of %zu", self, k));
-  }
-  if (options.sketch_k == 0 || options.sketch_k > UINT16_MAX) {
-    return InvalidArgumentError(StrFormat(
-        "PiaPeer::RunPsopWithSketch: sketch_k %u out of range [1, %u]", options.sketch_k,
-        UINT16_MAX));
-  }
-  if (options.lsh_bands > UINT16_MAX || options.lsh_rows > UINT16_MAX) {
-    return InvalidArgumentError("PiaPeer::RunPsopWithSketch: LSH geometry exceeds u16");
-  }
-  if (dataset.empty()) {
-    return InvalidArgumentError("PiaPeer::RunPsopWithSketch: empty dataset");
-  }
-  const size_t successor = (self + 1) % k;
-  const size_t predecessor = (self + k - 1) % k;
-
-  net::FrameSketchParams geometry;
-  geometry.k = static_cast<uint16_t>(options.sketch_k);
-  geometry.bands = static_cast<uint16_t>(options.lsh_bands);
-  geometry.rows = static_cast<uint16_t>(options.lsh_rows);
-
-  obs::TraceContext session{obs::DeriveTraceId(options.psop.seed), 0};
-  obs::ScopedTraceContext session_trace(session);
-
-  INDAAS_TRACE_SPAN_NAMED(span, "pia.psop.sketch.socket");
-  span.Annotate("ring_size", std::to_string(k));
-  span.Annotate("self", std::to_string(self));
-
-  INDAAS_ASSIGN_OR_RETURN(
-      net::Socket tx, net::ConnectWithRetry(options.peers[successor],
-                                            options.connect_timeout_ms, options.retry));
-  INDAAS_ASSIGN_OR_RETURN(net::Socket rx, net::TcpAccept(listener_, options.io_timeout_ms));
-
-  // --- Handshake: ring geometry plus the sketch-params extension. A peer
-  // running the encrypted protocol (or an old build that predates the
-  // extension) rejects the unknown flag bit before any registers move.
-  PsopHello hello;
-  hello.ring_size = static_cast<uint32_t>(k);
-  hello.sender_index = static_cast<uint32_t>(self);
-  hello.group_bits = static_cast<uint32_t>(options.psop.group_bits);
-  hello.hash_algorithm = static_cast<uint8_t>(options.psop.hash);
-  INDAAS_RETURN_IF_ERROR(net::WriteFrame(tx, static_cast<uint8_t>(MsgType::kPsopHello),
-                                         EncodePsopHello(hello), options.io_timeout_ms,
-                                         session, 0, geometry));
-  INDAAS_ASSIGN_OR_RETURN(net::Frame hello_frame,
-                          net::ReadFrame(rx, options.limits, options.io_timeout_ms));
-  if (hello_frame.type != static_cast<uint8_t>(MsgType::kPsopHello)) {
-    return ProtocolError("sketch ring handshake: first frame was not a hello");
-  }
-  INDAAS_ASSIGN_OR_RETURN(PsopHello peer_hello, DecodePsopHello(hello_frame.payload));
-  if (peer_hello.ring_size != k || peer_hello.sender_index != predecessor) {
-    return ProtocolError(StrFormat(
-        "sketch ring handshake mismatch: predecessor claims index %u of %u, expected %zu of %zu",
-        peer_hello.sender_index, peer_hello.ring_size, predecessor, k));
-  }
-  if (!hello_frame.sketch.valid()) {
-    return ProtocolError("sketch ring handshake: predecessor sent no sketch-params extension");
-  }
-  if (hello_frame.sketch != geometry) {
-    return ProtocolError(StrFormat(
-        "sketch ring handshake mismatch: predecessor sketches k=%u bands=%u rows=%u, "
-        "expected k=%u bands=%u rows=%u",
-        hello_frame.sketch.k, hello_frame.sketch.bands, hello_frame.sketch.rows, geometry.k,
-        geometry.bands, geometry.rows));
-  }
-
-  PsopResult result;
-  result.party_stats.assign(k, PartyStats{});
-  PartyMeter meter(&result.party_stats[self], "sketch");
-
-  // --- Local sketching under the shared seed; nothing about the raw
-  // dataset ever leaves this peer.
-  sketch::SketchParams params;
-  params.k = options.sketch_k;
-  params.seed = PsopSketchSeed(options.psop.seed);
-  sketch::SketchArena arena(options.sketch_k, k);
-  {
-    INDAAS_TRACE_SPAN("pia.psop.sketch.build");
-    PartyComputeTimer timer(meter);
-    sketch::BuildSketch(params, dataset, arena.At(self));
-  }
-
-  // --- Ring all-gather: k-1 lockstep hops; after hop h this peer holds the
-  // sketch originated by (self - h - 1) mod k.
-  std::vector<uint32_t> current(arena.At(self), arena.At(self) + options.sketch_k);
-  size_t xseq = 0;
-  {
-    INDAAS_TRACE_SPAN("pia.psop.sketch.ring");
-    for (size_t hop = 0; hop + 1 < k; ++hop) {
-      INDAAS_TRACE_SPAN_NAMED(hop_span, "pia.ring.exchange");
-      hop_span.Annotate("xseq", std::to_string(xseq++));
-      hop_span.Annotate("self", std::to_string(self));
-      uint32_t send_origin = static_cast<uint32_t>((self + k - hop) % k);
-      uint32_t expect_origin = static_cast<uint32_t>((self + k - hop - 1) % k);
-      PsopSketch out;
-      out.origin = send_origin;
-      out.registers = std::move(current);
-      std::string out_bytes =
-          net::EncodeFrame(static_cast<uint8_t>(MsgType::kPsopSketch), EncodePsopSketch(out),
-                           session, /*request_id=*/0, geometry);
-      meter.AddBytesSent(out_bytes.size());
-      INDAAS_ASSIGN_OR_RETURN(
-          net::Frame frame, ExchangeFrames(tx, out_bytes, rx, options.limits,
-                                           options.io_timeout_ms));
-      if (frame.type != static_cast<uint8_t>(MsgType::kPsopSketch)) {
-        return ProtocolError(StrFormat("sketch ring round got frame type %u, want %u",
-                                       frame.type,
-                                       static_cast<uint8_t>(MsgType::kPsopSketch)));
-      }
-      meter.AddBytesReceived(frame.wire_bytes);
-      if (!frame.sketch.valid() || frame.sketch != geometry) {
-        return ProtocolError("sketch ring round: peer changed sketch geometry mid-session");
-      }
-      INDAAS_ASSIGN_OR_RETURN(PsopSketch in, DecodePsopSketch(frame.payload));
-      if (in.origin != expect_origin) {
-        return ProtocolError(StrFormat("sketch ring round got sketch of origin %u, want %u",
-                                       in.origin, expect_origin));
-      }
-      if (in.registers.size() != options.sketch_k) {
-        return ProtocolError(StrFormat("sketch ring round got %zu registers, want %u",
-                                       in.registers.size(), options.sketch_k));
-      }
-      std::copy(in.registers.begin(), in.registers.end(), arena.At(expect_origin));
-      current = std::move(in.registers);
-    }
-  }
-
-  // --- Count k-way register agreement; same estimator as the in-process
-  // engine, so the two are byte-identical on identical datasets and seed.
-  {
-    PartyComputeTimer timer(meter);
-    size_t agree = 0;
-    for (uint32_t r = 0; r < options.sketch_k; ++r) {
-      const uint32_t v = arena.At(0)[r];
-      bool all = true;
-      for (size_t i = 1; i < k && all; ++i) {
-        all = arena.At(i)[r] == v;
-      }
-      agree += all;
-    }
-    result.intersection = agree;
-    result.union_size = options.sketch_k;
-    result.jaccard = static_cast<double>(agree) / static_cast<double>(options.sketch_k);
-  }
-  static obs::Counter* sketch_sessions =
-      obs::MetricsRegistry::Global().GetCounter("pia.sketch_socket_sessions_total");
-  sketch_sessions->Increment();
-  return result;
 }
 
 }  // namespace svc

@@ -1,41 +1,34 @@
-// Socket-backed P-SOP: the protocol of src/pia/psop.h executed by k real
-// peers over TCP instead of in-process message passing (paper §4.2, the way
-// the prototype's cluster ran it).
+// Socket-backed P-SOP: k peers over TCP, each stepping one RingParty of
+// src/pia/psop.h (paper §4.2, the way the prototype's cluster ran it).
 //
 // All peers share the ring configuration (ordered endpoint list plus the
 // protocol parameters); each runs one PiaPeer. A peer listens on its own
 // ring port, connects to its successor (retrying with backoff while the
-// successor's listener comes up), accepts its predecessor and handshakes
-// (ring size, index and crypto parameters are cross-checked before any
-// data moves). Protocol rounds then pump frames in both directions through
-// one poll loop — every peer sends to its successor while receiving from
-// its predecessor, so ring rounds cannot deadlock on full TCP buffers no
-// matter the dataset size.
-//
-// The intersection/union counts — and hence the Jaccard similarity — are
-// byte-identical to RunPsop on the same datasets: commutative encryption
-// makes the counts independent of key material and permutation order, which
-// is exactly what makes the ring protocol correct in the first place.
+// successor's listener comes up), accepts its predecessor and handshakes:
+// ring size, index and, for exact rings, crypto parameters are cross-checked
+// before any data moves. Each exchange frames the party's message and pumps
+// frames in both directions through one poll loop, so ring rounds cannot
+// deadlock on full TCP buffers whatever the dataset size. Every frame of a
+// sketch session carries the sketch-params extension, and every frame of a
+// reformed ring the ring-membership extension; a frame with any other
+// extensions fails the session with kProtocolError.
 //
 // Failure semantics: a peer that disconnects mid-round fails the session
 // with kUnavailable; a peer that stalls fails it with kDeadlineExceeded
 // after io_timeout_ms. With `allow_degraded` off (the default) no partial
 // result is returned either way.
 //
-// Degraded-mode recovery (`allow_degraded`, RunPsop only): on a transport
-// fault every survivor closes both ring sockets — cascading the fault
-// around the ring within one io timeout — then probes every original
-// peer's listener (kPsopProbe/kPsopProbeAck over short-lived connections,
-// answering incoming probes meanwhile, even while awaiting an ack) for up to
-// probe_window_ms. The survivors that acked, or probed us for the same
-// attempt, form the reformed ring, ordered by original index, and the
-// protocol restarts from scratch: P-SOP is memoryless, so a clean re-run
-// among m < k survivors is a correct m-party audit. Every frame of
-// a reformed session carries the ring-membership frame extension (attempt
-// + survivor bitmask); a peer whose membership view disagrees — or a
-// pre-upgrade peer that never learned the flag bit — fails closed with
-// kProtocolError instead of silently auditing with the wrong party set.
-// The result is explicitly marked partial: PsopResult::excluded names the
+// Degraded-mode recovery (`allow_degraded`, exact and sketch rings alike):
+// on a transport fault every survivor closes both ring sockets, cascading
+// the fault around the ring within one io timeout, then probes every
+// original peer's listener (kPsopProbe/kPsopProbeAck over short-lived
+// connections, answering incoming probes meanwhile) for up to
+// probe_window_ms. The peers that acked, or probed us for the same attempt,
+// form the reformed ring, ordered by original index, and the protocol
+// restarts from scratch: P-SOP is memoryless, so a clean re-run among
+// m < k survivors is a correct m-party audit. A peer whose membership view
+// disagrees, or a pre-upgrade peer that never learned the flag bit, fails
+// closed. The result is marked partial: PsopResult::excluded names the
 // ejected original indices and recovery_attempts counts reformations.
 // Recovery is bounded by max_recovery_attempts; a ring that cannot muster
 // two live peers fails with a typed error, never a hang.
@@ -71,13 +64,14 @@ struct PiaPeerOptions {
   net::RetryPolicy retry;
   net::FrameLimits limits;
   // Sketch-exchange geometry (RunPsopWithSketch only): registers per sketch
-  // plus the LSH banding the auditor will apply, advertised to — and
-  // cross-checked against — every peer via the frame sketch-params
-  // extension. bands/rows 0 = pairwise session with no banding.
+  // (at most kMaxSketchK) plus the LSH banding the auditor will apply,
+  // advertised to — and cross-checked against — every peer via the frame
+  // sketch-params extension. bands/rows 0 = pairwise session with no
+  // banding.
   uint32_t sketch_k = 256;
   uint32_t lsh_bands = 0;
   uint32_t lsh_rows = 0;
-  // Peer-failure recovery (RunPsop only; see the header comment). Off by
+  // Peer-failure recovery (both modes; see the header comment). Off by
   // default: a fault fails the whole session, the pre-recovery behaviour.
   // Degraded rings are capped at 32 original parties (the membership
   // bitmask width).
@@ -115,13 +109,10 @@ class PiaPeer {
   Result<PsopResult> RunPsop(const std::vector<std::string>& dataset,
                              const PiaPeerOptions& options);
 
-  // Runs one sketch-exchange session (PiaMethod::kSketch over sockets): each
-  // peer sketches its dataset locally under the shared seed and the ring
-  // all-gathers the fixed-size register arrays in k-1 hops — no encryption,
-  // bytes independent of dataset size. Every frame carries the sketch-params
-  // extension; a peer whose geometry disagrees (or that predates the
-  // extension entirely) fails the session with kProtocolError. The Jaccard
-  // estimate is byte-identical to RunPsopWithSketch on the same datasets.
+  // Runs one sketch-exchange session (PiaMethod::kSketch over sockets): the
+  // ring all-gathers fixed-size register arrays in k-1 hops, no encryption,
+  // bytes independent of dataset size; a peer whose sketch geometry
+  // disagrees fails the session with kProtocolError.
   Result<PsopResult> RunPsopWithSketch(const std::vector<std::string>& dataset,
                                        const PiaPeerOptions& options);
 
@@ -137,14 +128,19 @@ class PiaPeer {
     bool valid = false;
   };
 
+  // One session of either mode: attempts, and after a transport fault
+  // with `allow_degraded` the probe and a reformed ring.
+  Result<PsopResult> RunRing(RingMode mode, const std::vector<std::string>& dataset,
+                             const PiaPeerOptions& options);
+
   // One full protocol run over the surviving `members` (sorted original
   // indices). `attempt` 0 is the pristine ring (no membership extension on
   // the wire); attempts >= 1 stamp every frame with the membership
   // extension and cross-check it on every inbound frame.
-  Result<PsopResult> RunPsopAttempt(const std::vector<std::string>& dataset,
-                                    const PiaPeerOptions& options,
-                                    const std::vector<uint32_t>& members, uint32_t attempt,
-                                    PendingHello* pending);
+  Result<PsopResult> RunAttempt(RingMode mode, const std::vector<std::string>& dataset,
+                                const PiaPeerOptions& options,
+                                const std::vector<uint32_t>& members, uint32_t attempt,
+                                PendingHello* pending);
 
   // Post-fault liveness probe: determines which original peers still
   // answer, collecting any early next-attempt hello into `pending`.

@@ -681,7 +681,7 @@ Result<PsopSketch> DecodePsopSketch(std::string_view payload) {
   INDAAS_ASSIGN_OR_RETURN(sketch.origin, reader.U32());
   INDAAS_ASSIGN_OR_RETURN(uint32_t count, reader.U32());
   // The frame extension carries k as u16, so anything larger is hostile.
-  if (count == 0 || count > UINT16_MAX) {
+  if (count == 0 || count > kMaxSketchK) {
     return ParseError(StrFormat("bad PsopSketch register count %u", count));
   }
   sketch.registers.reserve(count);

@@ -253,25 +253,19 @@ struct PsopHello {
 std::string EncodePsopHello(const PsopHello& hello);
 Result<PsopHello> DecodePsopHello(std::string_view payload);
 
-// A dataset in transit around the ring: fixed-width big-endian group
-// elements. `origin` identifies which peer's dataset this is.
-struct PsopDataset {
-  uint32_t origin = 0;
-  uint32_t element_bytes = 0;
-  std::vector<BigUint> elements;
-};
+// The payloads of ring exchanges are RingMessages (src/pia/psop.h); the
+// frame type carries the kind. A dataset (kPsopDataset and kPsopShare
+// frames) goes as its origin, element width and fixed-width big-endian
+// group elements.
+using PsopDataset = RingMessage;
 
 std::string EncodePsopDataset(const PsopDataset& dataset);
 Result<PsopDataset> DecodePsopDataset(std::string_view payload);
 
-// A MinHash sketch in transit around the ring during a sketch-exchange
-// session (PiaMethod::kSketch): the originating peer's fixed-width register
-// array. Frames carrying this payload also set the sketch-params frame
-// extension, which is where the geometry cross-check happens.
-struct PsopSketch {
-  uint32_t origin = 0;
-  std::vector<uint32_t> registers;
-};
+// A MinHash sketch (kPsopSketch frames, PiaMethod::kSketch) goes as its
+// origin and its registers; the frame's sketch-params extension carries the
+// geometry every peer cross-checks.
+using PsopSketch = RingMessage;
 
 std::string EncodePsopSketch(const PsopSketch& sketch);
 Result<PsopSketch> DecodePsopSketch(std::string_view payload);

@@ -25,6 +25,7 @@
 #include "src/svc/proto.h"
 #include "src/svc/server.h"
 #include "src/util/timer.h"
+#include "tests/ring_oracle.h"
 
 namespace indaas {
 namespace svc {
@@ -279,12 +280,15 @@ std::vector<std::vector<std::string>> RingDatasets(size_t k) {
   return datasets;
 }
 
+constexpr uint32_t kRingSketchK = 128;
+
 // Runs a k-party loopback ring with degraded mode on; returns per-peer
 // results. `victim_fail_after` != SIZE_MAX arms the deterministic death
-// seam on peer `victim`.
+// seam on peer `victim`; `sketch` runs the sketch exchange instead of
+// exact P-SOP.
 std::vector<Result<PsopResult>> RunChaosRing(
     const std::vector<std::vector<std::string>>& datasets,
-    size_t victim = SIZE_MAX, size_t victim_fail_after = SIZE_MAX) {
+    size_t victim = SIZE_MAX, size_t victim_fail_after = SIZE_MAX, bool sketch = false) {
   const size_t k = datasets.size();
   std::vector<PiaPeer> peers;
   PiaPeerOptions options;
@@ -298,6 +302,7 @@ std::vector<Result<PsopResult>> RunChaosRing(
   options.retry.max_attempts = 3;
   options.retry.initial_backoff_s = 0.01;
   options.retry.max_backoff_s = 0.05;
+  options.sketch_k = kRingSketchK;
   for (size_t i = 0; i < k; ++i) {
     auto peer = PiaPeer::Listen(0);
     EXPECT_TRUE(peer.ok()) << peer.status().ToString();
@@ -313,7 +318,8 @@ std::vector<Result<PsopResult>> RunChaosRing(
       if (i == victim) {
         mine.fail_after_exchanges = victim_fail_after;
       }
-      results[i] = peers[i].RunPsop(datasets[i], mine);
+      results[i] = sketch ? peers[i].RunPsopWithSketch(datasets[i], mine)
+                          : peers[i].RunPsop(datasets[i], mine);
     });
   }
   for (std::thread& thread : threads) {
@@ -322,20 +328,13 @@ std::vector<Result<PsopResult>> RunChaosRing(
   return results;
 }
 
-// The jaccard a reformed ring must report: the in-process protocol run
-// over exactly the surviving datasets.
-double ExpectedJaccard(const std::vector<std::vector<std::string>>& datasets,
-                       const std::vector<uint32_t>& excluded) {
-  std::vector<std::vector<std::string>> surviving;
-  for (size_t i = 0; i < datasets.size(); ++i) {
-    if (std::find(excluded.begin(), excluded.end(), static_cast<uint32_t>(i)) ==
-        excluded.end()) {
-      surviving.push_back(datasets[i]);
-    }
-  }
-  auto reference = RunPsop(surviving, RingPsopOptions());
-  EXPECT_TRUE(reference.ok());
-  return reference.ok() ? reference->jaccard : -1.0;
+// The counts a reformed ring must report: the plaintext oracle over
+// exactly the surviving datasets.
+RingCounts ExpectedCounts(const std::vector<std::vector<std::string>>& datasets,
+                          const std::vector<uint32_t>& excluded, bool sketch = false) {
+  const auto survivors = Survivors(datasets, excluded);
+  return sketch ? SketchRingOracle(survivors, kRingSketchK, RingPsopOptions().seed)
+                : ExactRingOracle(survivors);
 }
 
 class ChaosRingMatrix
@@ -345,8 +344,7 @@ TEST_P(ChaosRingMatrix, RingEndsInFullPartialOrTypedError) {
   const std::string fault = std::get<0>(GetParam());
   const size_t k = static_cast<size_t>(std::get<1>(GetParam()));
   auto datasets = RingDatasets(k);
-  auto full_reference = RunPsop(datasets, RingPsopOptions());
-  ASSERT_TRUE(full_reference.ok());
+  const RingCounts full_reference = ExactRingOracle(datasets);
 
   ChaosGuard guard;
   // Rings multiply operation counts by k hops, so a lower per-op
@@ -371,12 +369,10 @@ TEST_P(ChaosRingMatrix, RingEndsInFullPartialOrTypedError) {
       EXPECT_FALSE(result->excluded.empty()) << "peer " << i;
       EXPECT_GE(result->recovery_attempts, 1u) << "peer " << i;
       EXPECT_GE(k - result->excluded.size(), 2u) << "peer " << i;
-      EXPECT_EQ(result->jaccard, ExpectedJaccard(datasets, result->excluded))
+      EXPECT_TRUE(MatchesOracle(*result, ExpectedCounts(datasets, result->excluded)))
           << "peer " << i << " degraded result diverged from survivor reference";
     } else {
-      EXPECT_EQ(result->jaccard, full_reference->jaccard) << "peer " << i;
-      EXPECT_EQ(result->intersection, full_reference->intersection) << "peer " << i;
-      EXPECT_EQ(result->union_size, full_reference->union_size) << "peer " << i;
+      EXPECT_TRUE(MatchesOracle(*result, full_reference)) << "peer " << i;
     }
   }
 }
@@ -391,21 +387,24 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- Deterministic peer-death recovery (no randomness at all) ---
 
-TEST(DegradedRingTest, SeamKilledPeerIsExcludedByEverySurvivor) {
+// Kills peer 2 of a 5-party ring (exact or sketch) just before exchange
+// `fail_after` and checks that every survivor reports the same partial
+// result.
+void ExpectSeamKilledPeerExcludedByEverySurvivor(bool sketch, size_t fail_after) {
   const size_t k = 5;
   const size_t victim = 2;
   auto datasets = RingDatasets(k);
   WallTimer timer;
-  auto results = RunChaosRing(datasets, victim, /*victim_fail_after=*/1);
+  auto results = RunChaosRing(datasets, victim, fail_after, sketch);
   EXPECT_LT(timer.ElapsedSeconds(), 60.0);
 
   // The victim's own session dies on the seam's internal error.
   EXPECT_FALSE(results[victim].ok());
 
   // Every survivor returns the same partial result: victim excluded,
-  // exactly one reformation, jaccard of the 4-party survivor run.
-  const double expected =
-      ExpectedJaccard(datasets, {static_cast<uint32_t>(victim)});
+  // exactly one reformation, counts of the 4-party survivor run.
+  const RingCounts expected =
+      ExpectedCounts(datasets, {static_cast<uint32_t>(victim)}, sketch);
   for (size_t i = 0; i < k; ++i) {
     if (i == victim) {
       continue;
@@ -417,7 +416,7 @@ TEST(DegradedRingTest, SeamKilledPeerIsExcludedByEverySurvivor) {
               std::vector<uint32_t>{static_cast<uint32_t>(victim)})
         << "survivor " << i;
     EXPECT_EQ(results[i]->recovery_attempts, 1u) << "survivor " << i;
-    EXPECT_EQ(results[i]->jaccard, expected) << "survivor " << i;
+    EXPECT_TRUE(MatchesOracle(*results[i], expected)) << "survivor " << i;
   }
   // The reformed ring's frames carry the ring-membership extension; both
   // sides of every hop must meter it, so the survivors' totals agree.
@@ -431,6 +430,20 @@ TEST(DegradedRingTest, SeamKilledPeerIsExcludedByEverySurvivor) {
   }
   EXPECT_GT(sent, 0u);
   EXPECT_EQ(received, sent);
+}
+
+TEST(DegradedRingTest, SeamKilledPeerIsExcludedByEverySurvivor) {
+  ExpectSeamKilledPeerExcludedByEverySurvivor(/*sketch=*/false, /*fail_after=*/1);
+}
+
+// The sketch exchange recovers the same way: its reformed frames carry both
+// the sketch-params and the ring-membership extensions. The victim dies
+// before its first exchange: a sketch ring has only k - 1 exchanges, and
+// once the victim's own sketch is out, the peer k - 1 hops downstream of it
+// can gather every sketch and finish with a full result before the fault
+// reaches it, leaving the others to reform without it.
+TEST(DegradedRingTest, SketchSeamKilledPeerIsExcludedByEverySurvivor) {
+  ExpectSeamKilledPeerExcludedByEverySurvivor(/*sketch=*/true, /*fail_after=*/0);
 }
 
 TEST(DegradedRingTest, TwoPartyRingCollapseIsTypedUnavailable) {

@@ -19,6 +19,7 @@
 #include "src/util/rng.h"
 #include "src/util/timer.h"
 #include "src/util/strings.h"
+#include "tests/ring_oracle.h"
 
 namespace indaas {
 namespace {
@@ -286,6 +287,35 @@ TEST(PsopTest, SketchVariantRejectsBadInput) {
   EXPECT_FALSE(RunPsopWithSketch({MakeSet(0, 5)}, 64, FastPsop()).ok());
   EXPECT_FALSE(RunPsopWithSketch({MakeSet(0, 5), MakeSet(0, 5)}, 0, FastPsop()).ok());
   EXPECT_FALSE(RunPsopWithSketch({MakeSet(0, 5), {}}, 64, FastPsop()).ok());
+}
+
+// The in-process runner against the plaintext oracles, both modes, on
+// rings of two to five parties with duplicates, empty overlaps and sets off
+// the eight-element crypto batch.
+TEST(PsopTest, InProcessRingsMatchPlaintextOracles) {
+  const std::vector<std::vector<std::vector<std::string>>> rings = {
+      {{"a", "a", "b", "c"}, {"a", "b", "b", "d"}},
+      {MakeSet(0, 13), MakeSet(4, 25), MakeSet(8, 18)},
+      {MakeSet(0, 5), MakeSet(5, 10), MakeSet(10, 15)},
+      {{"shared", "net:core1", "own:0", "pair:0"},
+       {"shared", "net:core1", "own:1", "pair:0"},
+       {"shared", "net:core1", "own:2", "pair:1"},
+       {"shared", "net:core1", "own:3", "pair:1"},
+       {"shared", "net:core1", "own:4", "pair:2"}},
+  };
+  for (size_t r = 0; r < rings.size(); ++r) {
+    PsopOptions options = FastPsop();
+    options.seed = 40 + r;
+    auto exact = RunPsop(rings[r], options);
+    ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+    EXPECT_TRUE(MatchesOracle(*exact, ExactRingOracle(rings[r]))) << "ring " << r;
+    for (uint32_t sketch_k : {1u, 64u, 257u}) {
+      auto sketched = RunPsopWithSketch(rings[r], sketch_k, options);
+      ASSERT_TRUE(sketched.ok()) << sketched.status().ToString();
+      EXPECT_TRUE(MatchesOracle(*sketched, SketchRingOracle(rings[r], sketch_k, options.seed)))
+          << "ring " << r << ", sketch_k " << sketch_k;
+    }
+  }
 }
 
 // --- KS baseline ---

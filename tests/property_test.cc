@@ -922,12 +922,14 @@ TEST(PsopHopTest, PooledCryptoMatchesSerialOracle) {
 }
 
 // A seeded RunPsop (768-bit group) against a reference the test computes
-// serially: the parties' keys drawn as RunPsop draws them, each element
-// hashed and raised with the oracle to the product of all keys mod q
-// (encryption commutes, and hashed elements lie in the order-q subgroup,
-// so that is every ring order's ciphertext). The counts follow from the
-// reference ciphertexts; PartyStats encrypt_ops and bytes are exactly the
-// protocol's. Returns the reference intersection.
+// serially: each party's key drawn as its ring party draws it, from
+// Rng(seed + 0x9E3779B97F4A7C15 * (index + 1)), each element hashed and
+// raised with the oracle to the product of all keys mod q (encryption
+// commutes, and hashed elements lie in the order-q subgroup, so that is
+// every ring order's ciphertext). The counts follow from the reference
+// ciphertexts; PartyStats encrypt_ops and bytes are exactly the protocol's:
+// k ring hops and k - 1 all-gather rounds, in which a party forwards every
+// set but its successor's. Returns the reference intersection.
 size_t ExpectRingMatchesSerialReference(const std::vector<std::vector<std::string>>& datasets,
                                         uint64_t seed) {
   const size_t k = datasets.size();
@@ -941,9 +943,9 @@ size_t ExpectRingMatchesSerialReference(const std::vector<std::vector<std::strin
   if (!result.ok() || !group.ok()) {
     return 0;
   }
-  Rng rng(options.seed);
   BigUint all_keys(1);
   for (size_t i = 0; i < k; ++i) {
+    Rng rng(options.seed + 0x9E3779B97F4A7C15ULL * (i + 1));
     auto key = CommutativeKey::Generate(*group, rng);
     EXPECT_TRUE(key.ok());
     all_keys = all_keys.Mul(key->exponent()).Mod(group->q());
@@ -969,8 +971,9 @@ size_t ExpectRingMatchesSerialReference(const std::vector<std::vector<std::strin
   for (size_t p = 0; p < k && p < result->party_stats.size(); ++p) {
     const PartyStats& stats = result->party_stats[p];
     const size_t own = datasets[p].size();
+    const size_t successor = datasets[(p + 1) % k].size();
     EXPECT_EQ(stats.encrypt_ops, total) << p;  // every dataset once
-    EXPECT_EQ(stats.bytes_sent, (total + (k - 1) * own) * element_bytes) << p;
+    EXPECT_EQ(stats.bytes_sent, (2 * total - successor) * element_bytes) << p;
     EXPECT_EQ(stats.bytes_received, (total + total - own) * element_bytes) << p;
   }
   return intersection;

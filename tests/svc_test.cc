@@ -25,6 +25,7 @@
 #include "src/svc/proto.h"
 #include "src/svc/server.h"
 #include "src/util/timer.h"
+#include "tests/ring_oracle.h"
 
 namespace indaas {
 namespace svc {
@@ -547,6 +548,35 @@ TEST(AuditServerTest, RemotePiaAudit) {
   for (size_t i = 0; i < remote->rankings[0].size(); ++i) {
     EXPECT_EQ(remote->rankings[0][i].providers, expected->rankings[0][i].providers);
     EXPECT_EQ(remote->rankings[0][i].jaccard, expected->rankings[0][i].jaccard);
+  }
+  server.Stop();
+}
+
+// A remote audit may not size the server's sketches: sketch_k and
+// minhash_m above the u16 frame geometry are rejected before any register
+// array is allocated, and the connection keeps serving.
+TEST(AuditServerTest, RemotePiaAuditRejectsOversizedSketches) {
+  AuditServer server;
+  ASSERT_TRUE(server.Start().ok());
+  auto client = AuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()});
+  ASSERT_TRUE(client.ok());
+  std::vector<CloudProvider> providers = {{"CloudA", {"net:tor1", "net:core1"}},
+                                          {"CloudB", {"net:tor2", "net:core1"}}};
+  PiaAuditOptions sketch;
+  sketch.method = PiaMethod::kSketch;
+  sketch.sketch_k = kMaxSketchK + 1;
+  sketch.max_redundancy = 2;
+  PiaAuditOptions minhash;
+  minhash.method = PiaMethod::kPsopMinHash;
+  minhash.minhash_m = kMaxSketchK + 1;
+  minhash.psop.group_bits = 768;
+  minhash.max_redundancy = 2;
+  for (const PiaAuditOptions& options : {sketch, minhash}) {
+    auto report = client->AuditPia(providers, options);
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument)
+        << report.status().ToString();
+    EXPECT_TRUE(client->Ping().ok());
   }
   server.Stop();
 }
@@ -1554,22 +1584,19 @@ std::vector<Result<PsopResult>> RunLoopbackRing(
   return results;
 }
 
-TEST(PiaPeerTest, ThreePartyJaccardByteIdenticalToInProcess) {
+TEST(PiaPeerTest, ThreePartyJaccardMatchesPlaintextOracle) {
   std::vector<std::vector<std::string>> datasets = {
       {"net:tor1", "net:core1", "hw:sed900", "pkg:libc6=2.13", "shared"},
       {"net:tor2", "net:core1", "hw:sed900", "pkg:libc6=2.13", "shared"},
       {"net:tor3", "net:core1", "hw:wd200", "pkg:libc6=2.13", "shared"},
   };
   auto results = RunLoopbackRing(datasets);
-  auto reference = RunPsop(datasets, RingPsopOptions());
-  ASSERT_TRUE(reference.ok());
+  const RingCounts reference = ExactRingOracle(datasets);
   for (size_t i = 0; i < results.size(); ++i) {
     ASSERT_TRUE(results[i].ok()) << "peer " << i << ": " << results[i].status().ToString();
-    // Bit-exact double equality, not almost-equal: the socket engine must
-    // compute the identical intersection/union counts and division.
-    EXPECT_EQ(results[i]->intersection, reference->intersection) << "peer " << i;
-    EXPECT_EQ(results[i]->union_size, reference->union_size) << "peer " << i;
-    EXPECT_EQ(results[i]->jaccard, reference->jaccard) << "peer " << i;
+    // Bit-exact double equality, not almost-equal: the ring must compute
+    // the plaintext intersection/union counts and the same division.
+    EXPECT_TRUE(MatchesOracle(*results[i], reference)) << "peer " << i;
     // The peer metered its own real traffic.
     const PartyStats& stats = results[i]->party_stats[i];
     EXPECT_GT(stats.bytes_sent, 0u);
@@ -1577,29 +1604,27 @@ TEST(PiaPeerTest, ThreePartyJaccardByteIdenticalToInProcess) {
     EXPECT_GT(stats.encrypt_ops, 0u);
   }
   // Sanity: intersection is the 3 common elements (core1, libc6, shared).
-  EXPECT_EQ(reference->intersection, 3u);
+  EXPECT_EQ(reference.intersection, 3u);
 }
 
-TEST(PiaPeerTest, TwoPartyWithDuplicatesMatchesInProcess) {
+TEST(PiaPeerTest, TwoPartyWithDuplicatesMatchesPlaintextOracle) {
   std::vector<std::vector<std::string>> datasets = {
       {"a", "a", "b", "c"},
       {"a", "b", "b", "d"},
   };
   auto results = RunLoopbackRing(datasets);
-  auto reference = RunPsop(datasets, RingPsopOptions());
-  ASSERT_TRUE(reference.ok());
+  const RingCounts reference = ExactRingOracle(datasets);
+  EXPECT_EQ(reference.intersection, 2u);  // a||1, b||1
   for (size_t i = 0; i < results.size(); ++i) {
     ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
-    EXPECT_EQ(results[i]->jaccard, reference->jaccard);
-    EXPECT_EQ(results[i]->intersection, reference->intersection);
-    EXPECT_EQ(results[i]->union_size, reference->union_size);
+    EXPECT_TRUE(MatchesOracle(*results[i], reference)) << "peer " << i;
   }
 }
 
 // Party sizes that are not multiples of the eight-element crypto batch
-// (13, 21 and 10). The socket ring's counts and Jaccard equal the
-// in-process ring's, each peer's encrypt_ops equals its in-process party's,
-// and the ring's wire bytes are the in-process element bytes in PsopDataset
+// (13, 21 and 10). The socket ring's counts and Jaccard equal the plaintext
+// oracle's, each peer's encrypt_ops equals its in-process party's, and the
+// ring's wire bytes are the in-process element bytes in PsopDataset
 // framing: a 4-byte length per element, and per frame (k hops plus k - 1
 // all-gather rounds from each of the k peers) the frame header, the trace
 // context and the 12-byte dataset header.
@@ -1615,15 +1640,14 @@ TEST(PiaPeerTest, RingOffTheBatchBoundaryMatchesInProcess) {
   auto results = RunLoopbackRing(datasets);
   auto reference = RunPsop(datasets, RingPsopOptions());
   ASSERT_TRUE(reference.ok());
-  EXPECT_EQ(reference->intersection, 5u);  // shared:0, 2, 4, 6, 8
+  const RingCounts oracle = ExactRingOracle(datasets);
+  EXPECT_EQ(oracle.intersection, 5u);  // shared:0, 2, 4, 6, 8
   const size_t k = datasets.size();
   uint64_t sent = 0;
   uint64_t reference_sent = 0;
   for (size_t i = 0; i < k; ++i) {
     ASSERT_TRUE(results[i].ok()) << "peer " << i << ": " << results[i].status().ToString();
-    EXPECT_EQ(results[i]->intersection, reference->intersection) << "peer " << i;
-    EXPECT_EQ(results[i]->union_size, reference->union_size) << "peer " << i;
-    EXPECT_EQ(results[i]->jaccard, reference->jaccard) << "peer " << i;
+    EXPECT_TRUE(MatchesOracle(*results[i], oracle)) << "peer " << i;
     EXPECT_EQ(results[i]->party_stats[i].encrypt_ops, reference->party_stats[i].encrypt_ops)
         << "peer " << i;
     sent += results[i]->party_stats[i].bytes_sent;
@@ -1643,8 +1667,7 @@ TEST(PiaPeerTest, SketchRingByteIdenticalToInProcess) {
       {"net:tor3", "net:core1", "hw:wd200", "pkg:libc6=2.13", "shared"},
   };
   auto results = RunLoopbackRing(datasets, 10000, sketch_k);
-  auto reference = RunPsopWithSketch(datasets, sketch_k, RingPsopOptions());
-  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  const RingCounts reference = SketchRingOracle(datasets, sketch_k, RingPsopOptions().seed);
   // Every hop moves one fixed-size frame: header + trace + sketch-params
   // extensions + the PsopSketch payload (origin, count, k registers). The
   // total is a function of ring size and sketch_k only — never of how many
@@ -1653,11 +1676,9 @@ TEST(PiaPeerTest, SketchRingByteIdenticalToInProcess) {
                            net::kSketchParamsBytes + 8 + 4 * sketch_k;
   for (size_t i = 0; i < results.size(); ++i) {
     ASSERT_TRUE(results[i].ok()) << "peer " << i << ": " << results[i].status().ToString();
-    // Bit-exact equality with the in-process engine: same seed derivation,
+    // Bit-exact equality with the plaintext sketches: same seed derivation,
     // same registers, same agreement count, same division.
-    EXPECT_EQ(results[i]->intersection, reference->intersection) << "peer " << i;
-    EXPECT_EQ(results[i]->union_size, sketch_k) << "peer " << i;
-    EXPECT_EQ(results[i]->jaccard, reference->jaccard) << "peer " << i;
+    EXPECT_TRUE(MatchesOracle(*results[i], reference)) << "peer " << i;
     const PartyStats& stats = results[i]->party_stats[i];
     EXPECT_EQ(stats.bytes_sent, (datasets.size() - 1) * hop_bytes) << "peer " << i;
     EXPECT_EQ(stats.bytes_received, (datasets.size() - 1) * hop_bytes) << "peer " << i;

@@ -94,7 +94,7 @@ def collect_fig8(build, workdir, n_max):
                 "k": point["k"],
                 "n": point["n"],
                 "estimated_wall_s": point["estimated_wall_s"],
-                "matches_inprocess": point["matches_inprocess"],
+                "matches_plaintext": point["matches_plaintext"],
             },
         }
     # Per-method bytes-on-wire: exact P-SOP vs MinHash-sampled vs sketch
