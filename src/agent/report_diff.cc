@@ -20,7 +20,7 @@ std::vector<std::string> DeploymentKey(const std::vector<std::string>& servers) 
 std::set<std::vector<std::string>> GroupSet(const DeploymentAudit& audit) {
   std::set<std::vector<std::string>> out;
   for (const auto& group : audit.ranked_groups) {
-    std::vector<std::string> names = group.components;
+    std::vector<std::string> names = audit.Names(group);
     std::sort(names.begin(), names.end());
     out.insert(std::move(names));
   }

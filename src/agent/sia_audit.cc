@@ -1,10 +1,8 @@
 #include "src/agent/sia_audit.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <cstdint>
 
-#include "src/graph/levels.h"
 #include "src/obs/trace.h"
 #include "src/sia/builder.h"
 #include "src/sia/sampling.h"
@@ -14,30 +12,51 @@
 namespace indaas {
 namespace {
 
-// Components that appear in the dependency closure of two or more of the
-// deployment's servers — the "common dependencies" whose presence in an RG
-// marks it unexpected.
-std::set<std::string> SharedAcrossServers(const FaultGraph& graph) {
-  auto sets = DowngradeToComponentSets(graph);
-  if (!sets.ok()) {
-    return {};
+// For each basic event (by NodeId), the number of the top gate's children
+// whose subgraph reaches it. A count of two or more marks a component in the
+// dependency closure of several of the deployment's servers — a common
+// dependency whose presence in an RG marks it unexpected.
+std::vector<uint32_t> ServersReaching(const FaultGraph& graph) {
+  std::vector<uint32_t> counts(graph.NodeCount(), 0);
+  const FaultNode& top = graph.node(graph.top_event());
+  if (top.gate == GateType::kBasic) {
+    return counts;
   }
-  std::map<std::string, int> counts;
-  for (const ComponentSet& set : *sets) {
-    for (const std::string& component : set.components) {
-      ++counts[component];
+  // seen[id] == stamp: already visited from the current child.
+  std::vector<uint32_t> seen(graph.NodeCount(), 0);
+  std::vector<NodeId> stack;
+  uint32_t stamp = 0;
+  for (NodeId child : top.children) {
+    ++stamp;
+    stack.push_back(child);
+    while (!stack.empty()) {
+      NodeId id = stack.back();
+      stack.pop_back();
+      if (seen[id] == stamp) {
+        continue;
+      }
+      seen[id] = stamp;
+      const FaultNode& node = graph.node(id);
+      if (node.gate == GateType::kBasic) {
+        ++counts[id];
+      } else {
+        stack.insert(stack.end(), node.children.begin(), node.children.end());
+      }
     }
   }
-  std::set<std::string> shared;
-  for (const auto& [component, count] : counts) {
-    if (count >= 2) {
-      shared.insert(component);
-    }
-  }
-  return shared;
+  return counts;
 }
 
 }  // namespace
+
+std::vector<std::string> DeploymentAudit::Names(const RankedGroup& group) const {
+  std::vector<std::string> names;
+  names.reserve(group.ids.size());
+  for (uint32_t id : group.ids) {
+    names.push_back(components[id]);
+  }
+  return names;
+}
 
 Result<SiaAuditReport> RunSiaAudit(const DepDb& db, const AuditSpecification& spec,
                                    const FailureProbabilityModel* prob_model) {
@@ -105,20 +124,35 @@ Result<SiaAuditReport> RunSiaAudit(const DepDb& db, const AuditSpecification& sp
     size_t width = spec.required_servers == 0
                        ? servers.size()
                        : servers.size() - spec.required_servers + 1;
-    std::set<std::string> shared = SharedAcrossServers(graph);
+    std::vector<uint32_t> reaching = ServersReaching(graph);
+    // The name table: every basic event some group names, in NodeId order.
+    constexpr uint32_t kNotInTable = UINT32_MAX;
+    std::vector<uint32_t> table_index(graph.NodeCount(), kNotInTable);
     for (const RankedRiskGroup& entry : ranked) {
-      DeploymentAudit::NamedRiskGroup named;
-      named.score = entry.score;
+      for (NodeId id : entry.group) {
+        table_index[id] = 0;
+      }
+    }
+    for (NodeId id = 0; id < table_index.size(); ++id) {
+      if (table_index[id] != kNotInTable) {
+        table_index[id] = static_cast<uint32_t>(audit.components.size());
+        audit.components.push_back(graph.node(id).name);
+      }
+    }
+    audit.ranked_groups.reserve(ranked.size());
+    for (const RankedRiskGroup& entry : ranked) {
+      DeploymentAudit::RankedGroup group;
+      group.score = entry.score;
+      group.ids.reserve(entry.group.size());
       bool touches_shared = false;
       for (NodeId id : entry.group) {
-        const std::string& name = graph.node(id).name;
-        named.components.push_back(name);
-        touches_shared = touches_shared || shared.count(name) != 0;
+        group.ids.push_back(table_index[id]);
+        touches_shared = touches_shared || reaching[id] >= 2;
       }
       if (entry.group.size() < width || touches_shared) {
         ++audit.unexpected_rgs;
       }
-      audit.ranked_groups.push_back(std::move(named));
+      audit.ranked_groups.push_back(std::move(group));
     }
     return audit;
   };
@@ -178,7 +212,7 @@ std::string RenderSiaReport(const SiaAuditReport& report, size_t top_rgs_per_dep
         break;
       }
       out += StrFormat("    RG %zu: {%s}  score=%.4f\n", shown,
-                       Join(group.components, ", ").c_str(), group.score);
+                       Join(audit.Names(group), ", ").c_str(), group.score);
     }
   }
   return out;

@@ -6,6 +6,7 @@
 #ifndef SRC_AGENT_SIA_AUDIT_H_
 #define SRC_AGENT_SIA_AUDIT_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -21,17 +22,25 @@ namespace indaas {
 // Audit outcome for one candidate deployment.
 struct DeploymentAudit {
   std::vector<std::string> servers;
-  // Ranked RGs with human-readable component names.
-  struct NamedRiskGroup {
-    std::vector<std::string> components;
+  // Names of the fault graph's basic events that appear in at least one
+  // ranked group, in ascending NodeId order: the one name table the
+  // deployment's groups index into.
+  std::vector<std::string> components;
+  // A ranked RG as strictly increasing indices into `components`; ascending
+  // indices are ascending NodeIds, the order the RG engines emit.
+  struct RankedGroup {
+    std::vector<uint32_t> ids;
     double score = 0.0;
   };
-  std::vector<NamedRiskGroup> ranked_groups;
+  std::vector<RankedGroup> ranked_groups;
   double independence_score = 0.0;
   // Number of RGs smaller than the deployment's redundancy width — the
   // "unexpected RGs" of §1 (any of these defeats the redundancy).
   size_t unexpected_rgs = 0;
   double top_event_prob = 0.0;  // probability metric only
+
+  // The component names of `group`, in table order.
+  std::vector<std::string> Names(const RankedGroup& group) const;
 };
 
 struct SiaAuditReport {

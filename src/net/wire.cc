@@ -33,8 +33,21 @@ void WireWriter::F64(double value) {
   U64(bits);
 }
 
+void WireWriter::Var(uint64_t value) {
+  while (value >= 0x80) {
+    buffer_.push_back(static_cast<char>((value & 0x7F) | 0x80));
+    value >>= 7;
+  }
+  buffer_.push_back(static_cast<char>(value));
+}
+
 void WireWriter::Bytes(std::string_view data) {
   U32(static_cast<uint32_t>(data.size()));
+  buffer_.append(data.data(), data.size());
+}
+
+void WireWriter::VarBytes(std::string_view data) {
+  Var(data.size());
   buffer_.append(data.data(), data.size());
 }
 
@@ -100,6 +113,26 @@ Result<double> WireReader::F64() {
   return value;
 }
 
+Result<uint64_t> WireReader::Var() {
+  uint64_t value = 0;
+  for (int shift = 0; shift < 64; shift += 7) {
+    INDAAS_RETURN_IF_ERROR(Need(1));
+    const uint8_t byte = static_cast<uint8_t>(data_[pos_++]);
+    // The tenth byte holds bit 63 only.
+    if (shift == 63 && byte > 1) {
+      return ParseError("wire varint exceeds 64 bits");
+    }
+    value |= static_cast<uint64_t>(byte & 0x7F) << shift;
+    if ((byte & 0x80) == 0) {
+      if (byte == 0 && shift > 0) {
+        return ParseError("wire varint is not minimally encoded");
+      }
+      return value;
+    }
+  }
+  return ParseError("wire varint exceeds 64 bits");
+}
+
 Result<std::string> WireReader::Bytes() {
   INDAAS_ASSIGN_OR_RETURN(uint32_t length, U32());
   INDAAS_RETURN_IF_ERROR(Need(length));
@@ -108,13 +141,39 @@ Result<std::string> WireReader::Bytes() {
   return out;
 }
 
-Result<std::vector<std::string>> WireReader::StrVec() {
-  INDAAS_ASSIGN_OR_RETURN(uint32_t count, U32());
-  // Each entry costs at least its 4-byte length prefix; reject counts the
-  // remaining payload cannot possibly hold before reserving anything.
-  if (static_cast<size_t>(count) * 4 > remaining()) {
-    return ParseError(StrFormat("wire string vector count %u exceeds payload", count));
+Result<std::string> WireReader::VarBytes() {
+  INDAAS_ASSIGN_OR_RETURN(uint64_t length, Var());
+  INDAAS_RETURN_IF_ERROR(Need(length));
+  std::string out(data_.substr(pos_, length));
+  pos_ += length;
+  return out;
+}
+
+Status WireReader::Fits(uint64_t count, size_t min_item_bytes) const {
+  // The count is checked below 2^32 first and item sizes are small, so the
+  // product cannot wrap.
+  if (count > UINT32_MAX || count * min_item_bytes > remaining()) {
+    return ParseError(StrFormat("wire count %llu exceeds payload (%zu bytes left)",
+                                static_cast<unsigned long long>(count), remaining()));
   }
+  return Status::Ok();
+}
+
+Result<uint32_t> WireReader::Count(size_t min_item_bytes) {
+  INDAAS_ASSIGN_OR_RETURN(uint32_t count, U32());
+  INDAAS_RETURN_IF_ERROR(Fits(count, min_item_bytes));
+  return count;
+}
+
+Result<uint32_t> WireReader::VarCount(size_t min_item_bytes) {
+  INDAAS_ASSIGN_OR_RETURN(uint64_t count, Var());
+  INDAAS_RETURN_IF_ERROR(Fits(count, min_item_bytes));
+  return static_cast<uint32_t>(count);
+}
+
+Result<std::vector<std::string>> WireReader::StrVec() {
+  // Each entry costs at least its 4-byte length prefix.
+  INDAAS_ASSIGN_OR_RETURN(uint32_t count, Count(4));
   std::vector<std::string> items;
   items.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {

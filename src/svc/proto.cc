@@ -56,7 +56,6 @@ const char* MsgTypeName(MsgType type) {
     case MsgType::kImportDepDb: return "ImportDepDb";
     case MsgType::kImportAck: return "ImportAck";
     case MsgType::kAuditRequest: return "AuditRequest";
-    case MsgType::kAuditReport: return "AuditReport";
     case MsgType::kPiaRequest: return "PiaRequest";
     case MsgType::kPiaReport: return "PiaReport";
     case MsgType::kErrorReply: return "ErrorReply";
@@ -74,6 +73,7 @@ const char* MsgTypeName(MsgType type) {
     case MsgType::kPsopProbeAck: return "PsopProbeAck";
     case MsgType::kGetProfile: return "GetProfile";
     case MsgType::kProfileReply: return "ProfileReply";
+    case MsgType::kAuditReport: return "AuditReport";
   }
   return "Unknown";
 }
@@ -164,7 +164,8 @@ std::string EncodeAuditSpecification(const AuditSpecification& spec) {
 Result<AuditSpecification> DecodeAuditSpecification(std::string_view payload) {
   WireReader reader(payload);
   AuditSpecification spec;
-  INDAAS_ASSIGN_OR_RETURN(uint32_t deployments, reader.U32());
+  // Each deployment is at least its 4-byte server-count prefix.
+  INDAAS_ASSIGN_OR_RETURN(uint32_t deployments, reader.Count(4));
   spec.candidate_deployments.reserve(deployments);
   for (uint32_t i = 0; i < deployments; ++i) {
     INDAAS_ASSIGN_OR_RETURN(std::vector<std::string> servers, reader.StrVec());
@@ -206,9 +207,18 @@ std::string EncodeSiaAuditReport(const SiaAuditReport& report) {
   writer.U32(static_cast<uint32_t>(report.deployments.size()));
   for (const DeploymentAudit& audit : report.deployments) {
     writer.StrVec(audit.servers);
-    writer.U32(static_cast<uint32_t>(audit.ranked_groups.size()));
-    for (const DeploymentAudit::NamedRiskGroup& group : audit.ranked_groups) {
-      writer.StrVec(group.components);
+    writer.Var(audit.components.size());
+    for (const std::string& name : audit.components) {
+      writer.VarBytes(name);
+    }
+    writer.Var(audit.ranked_groups.size());
+    for (const DeploymentAudit::RankedGroup& group : audit.ranked_groups) {
+      writer.Var(group.ids.size());
+      uint32_t previous = 0;  // so the first id goes as itself
+      for (uint32_t id : group.ids) {
+        writer.Var(id - previous);
+        previous = id;
+      }
       writer.F64(group.score);
     }
     writer.F64(audit.independence_score);
@@ -219,6 +229,11 @@ std::string EncodeSiaAuditReport(const SiaAuditReport& report) {
 }
 
 Result<SiaAuditReport> DecodeSiaAuditReport(std::string_view payload) {
+  // Smallest encodings: a deployment is an empty server list (4), empty
+  // table and group list (1 + 1) and three 8-byte fields; a group is its
+  // count (1) and score (8).
+  constexpr size_t kMinDeploymentBytes = 4 + 1 + 1 + 3 * 8;
+  constexpr size_t kMinGroupBytes = 1 + 8;
   WireReader reader(payload);
   SiaAuditReport report;
   INDAAS_ASSIGN_OR_RETURN(uint8_t algorithm, reader.U8());
@@ -231,16 +246,36 @@ Result<SiaAuditReport> DecodeSiaAuditReport(std::string_view payload) {
     return ParseError(StrFormat("bad RankingMetric value %u", metric));
   }
   report.metric = static_cast<RankingMetric>(metric);
-  INDAAS_ASSIGN_OR_RETURN(uint32_t deployments, reader.U32());
+  INDAAS_ASSIGN_OR_RETURN(uint32_t deployments, reader.Count(kMinDeploymentBytes));
   report.deployments.reserve(deployments);
   for (uint32_t d = 0; d < deployments; ++d) {
     DeploymentAudit audit;
     INDAAS_ASSIGN_OR_RETURN(audit.servers, reader.StrVec());
-    INDAAS_ASSIGN_OR_RETURN(uint32_t groups, reader.U32());
+    INDAAS_ASSIGN_OR_RETURN(uint32_t names, reader.VarCount(1));
+    audit.components.reserve(names);
+    for (uint32_t i = 0; i < names; ++i) {
+      INDAAS_ASSIGN_OR_RETURN(std::string name, reader.VarBytes());
+      audit.components.push_back(std::move(name));
+    }
+    INDAAS_ASSIGN_OR_RETURN(uint32_t groups, reader.VarCount(kMinGroupBytes));
     audit.ranked_groups.reserve(groups);
     for (uint32_t g = 0; g < groups; ++g) {
-      DeploymentAudit::NamedRiskGroup group;
-      INDAAS_ASSIGN_OR_RETURN(group.components, reader.StrVec());
+      DeploymentAudit::RankedGroup group;
+      INDAAS_ASSIGN_OR_RETURN(uint32_t members, reader.VarCount(1));
+      group.ids.reserve(members);
+      uint64_t id = 0;
+      for (uint32_t m = 0; m < members; ++m) {
+        INDAAS_ASSIGN_OR_RETURN(uint64_t step, reader.Var());
+        if (m > 0 && step == 0) {
+          return ParseError(StrFormat("SiaAuditReport: group %u ids not increasing", g));
+        }
+        if (step >= names - id) {
+          return ParseError(StrFormat("SiaAuditReport: group %u id outside a table of %u",
+                                      g, names));
+        }
+        id += step;
+        group.ids.push_back(static_cast<uint32_t>(id));
+      }
       INDAAS_ASSIGN_OR_RETURN(group.score, reader.F64());
       audit.ranked_groups.push_back(std::move(group));
     }
@@ -279,7 +314,8 @@ std::string EncodePiaRequest(const PiaRequest& request) {
 Result<PiaRequest> DecodePiaRequest(std::string_view payload) {
   WireReader reader(payload);
   PiaRequest request;
-  INDAAS_ASSIGN_OR_RETURN(uint32_t providers, reader.U32());
+  // Each provider is at least a name prefix and a component-count prefix.
+  INDAAS_ASSIGN_OR_RETURN(uint32_t providers, reader.Count(4 + 4));
   request.providers.reserve(providers);
   for (uint32_t i = 0; i < providers; ++i) {
     CloudProvider provider;
@@ -340,10 +376,12 @@ Result<PiaAuditReport> DecodePiaAuditReport(std::string_view payload) {
   WireReader reader(payload);
   PiaAuditReport report;
   INDAAS_ASSIGN_OR_RETURN(report.min_redundancy, reader.U32());
-  INDAAS_ASSIGN_OR_RETURN(uint32_t levels, reader.U32());
+  // A level is at least its entry count; an entry its provider-count
+  // prefix and Jaccard; a stats record five 8-byte fields.
+  INDAAS_ASSIGN_OR_RETURN(uint32_t levels, reader.Count(4));
   report.rankings.reserve(levels);
   for (uint32_t level = 0; level < levels; ++level) {
-    INDAAS_ASSIGN_OR_RETURN(uint32_t entries, reader.U32());
+    INDAAS_ASSIGN_OR_RETURN(uint32_t entries, reader.Count(4 + 8));
     std::vector<DeploymentSimilarity> ranking;
     ranking.reserve(entries);
     for (uint32_t e = 0; e < entries; ++e) {
@@ -354,7 +392,7 @@ Result<PiaAuditReport> DecodePiaAuditReport(std::string_view payload) {
     }
     report.rankings.push_back(std::move(ranking));
   }
-  INDAAS_ASSIGN_OR_RETURN(uint32_t stats_count, reader.U32());
+  INDAAS_ASSIGN_OR_RETURN(uint32_t stats_count, reader.Count(5 * 8));
   report.provider_stats.reserve(stats_count);
   for (uint32_t i = 0; i < stats_count; ++i) {
     INDAAS_ASSIGN_OR_RETURN(PartyStats stats, DecodePartyStats(reader));
@@ -647,10 +685,11 @@ Result<PsopDataset> DecodePsopDataset(std::string_view payload) {
   PsopDataset dataset;
   INDAAS_ASSIGN_OR_RETURN(dataset.origin, reader.U32());
   INDAAS_ASSIGN_OR_RETURN(dataset.element_bytes, reader.U32());
-  INDAAS_ASSIGN_OR_RETURN(uint32_t count, reader.U32());
   if (dataset.element_bytes == 0 || dataset.element_bytes > 4096) {
     return ParseError(StrFormat("bad PsopDataset element width %u", dataset.element_bytes));
   }
+  // Each element is its 4-byte length prefix and its fixed-width bytes.
+  INDAAS_ASSIGN_OR_RETURN(uint32_t count, reader.Count(4 + dataset.element_bytes));
   dataset.elements.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     INDAAS_ASSIGN_OR_RETURN(std::string raw, reader.Bytes());

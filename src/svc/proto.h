@@ -43,7 +43,8 @@ enum class MsgType : uint8_t {
   kImportDepDb = 3,
   kImportAck = 4,
   kAuditRequest = 5,
-  kAuditReport = 6,
+  // 6 carried the name-list audit report; it is retired, never reused, so
+  // a peer still speaking it fails with an unexpected-reply-type error.
   kPiaRequest = 7,
   kPiaReport = 8,
   kErrorReply = 9,
@@ -67,6 +68,9 @@ enum class MsgType : uint8_t {
   // window on the server and ship it back as dump text.
   kGetProfile = 22,
   kProfileReply = 23,
+  // The audit report: one component-name table per deployment, risk groups
+  // as delta-varint indices into it.
+  kAuditReport = 24,
 };
 
 // Human-readable message-type name ("AuditRequest"), shared by server logs,
@@ -97,6 +101,11 @@ Result<ImportAck> DecodeImportAck(std::string_view payload);
 std::string EncodeAuditSpecification(const AuditSpecification& spec);
 Result<AuditSpecification> DecodeAuditSpecification(std::string_view payload);
 
+// Per deployment: servers, the component table as varint-length names,
+// then each ranked group as a varint count, its first index and the varint
+// gaps to the next (each >= 1), and its F64 score. The encoding is a direct
+// serialisation of the struct: decode rejects out-of-table or non-increasing
+// indices and non-minimal varints, so encode(decode(x)) == x.
 std::string EncodeSiaAuditReport(const SiaAuditReport& report);
 Result<SiaAuditReport> DecodeSiaAuditReport(std::string_view payload);
 

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <set>
 #include <string>
 
 #include "src/agent/report_diff.h"
@@ -80,14 +82,27 @@ TEST(CvssTest, RejectsBadMaxProb) {
 
 // --- Report diffing ---
 
+// An audit whose table holds the groups' names in sorted order, so each
+// group's ids ascend.
 DeploymentAudit MakeAudit(std::vector<std::string> servers,
-                          std::vector<std::vector<std::string>> groups, size_t unexpected) {
+                          const std::vector<std::vector<std::string>>& groups,
+                          size_t unexpected) {
   DeploymentAudit audit;
   audit.servers = std::move(servers);
-  for (auto& group : groups) {
-    DeploymentAudit::NamedRiskGroup named;
-    named.components = std::move(group);
-    audit.ranked_groups.push_back(std::move(named));
+  std::set<std::string> names;
+  for (const auto& group : groups) {
+    names.insert(group.begin(), group.end());
+  }
+  audit.components.assign(names.begin(), names.end());
+  for (const auto& group : groups) {
+    DeploymentAudit::RankedGroup ranked;
+    for (const std::string& name : group) {
+      ranked.ids.push_back(static_cast<uint32_t>(
+          std::lower_bound(audit.components.begin(), audit.components.end(), name) -
+          audit.components.begin()));
+    }
+    std::sort(ranked.ids.begin(), ranked.ids.end());
+    audit.ranked_groups.push_back(std::move(ranked));
   }
   audit.unexpected_rgs = unexpected;
   return audit;

@@ -177,6 +177,69 @@ TEST(WireTest, StrVecRejectsAbsurdCount) {
   EXPECT_EQ(vec.status().code(), StatusCode::kParseError);
 }
 
+TEST(WireTest, VarintRoundTripsAtTheBoundaries) {
+  const std::vector<std::pair<uint64_t, size_t>> cases = {
+      {0, 1}, {127, 1}, {128, 2}, {UINT32_MAX, 5}, {UINT64_MAX, 10}};
+  for (const auto& [value, bytes] : cases) {
+    WireWriter writer;
+    writer.Var(value);
+    EXPECT_EQ(writer.buffer().size(), bytes) << value;
+    WireReader reader(writer.buffer());
+    auto decoded = reader.Var();
+    ASSERT_TRUE(decoded.ok()) << value << ": " << decoded.status().ToString();
+    EXPECT_EQ(*decoded, value);
+    EXPECT_TRUE(reader.AtEnd()) << value;
+  }
+  WireWriter writer;
+  writer.VarBytes("name");
+  writer.VarBytes("");
+  EXPECT_EQ(writer.buffer(), std::string("\x04name\x00", 6));
+  WireReader reader(writer.buffer());
+  EXPECT_EQ(reader.VarBytes().value_or("?"), "name");
+  EXPECT_EQ(reader.VarBytes().value_or("?"), "");
+  EXPECT_TRUE(reader.AtEnd());
+}
+
+TEST(WireTest, VarintRejectsOverlongOversizedAndTruncated) {
+  const std::vector<std::string> bad = {
+      std::string("\x80\x00", 2),  // 0 in two bytes
+      std::string("\xFF\x00", 2),  // 127 in two bytes
+      std::string("\x80\x80\x80\x80\x80\x80\x80\x80\x80\x00", 10),  // 0 in ten bytes
+      std::string("\xFF\xFF\xFF\xFF\xFF\xFF\xFF\xFF\xFF\x02", 10),  // 2^64
+      std::string("\xFF\xFF\xFF\xFF\xFF\xFF\xFF\xFF\xFF\x81\x00", 11),  // 11 bytes
+      std::string(""),
+      std::string("\x80", 1),
+      std::string("\xFF\xFF\xFF", 3),
+      std::string("\x05" "abc", 4),  // VarBytes: length runs past the payload
+  };
+  for (size_t i = 0; i < bad.size(); ++i) {
+    WireReader reader(bad[i]);
+    Status status = i + 1 == bad.size() ? reader.VarBytes().status() : reader.Var().status();
+    EXPECT_EQ(status.code(), StatusCode::kParseError) << "case " << i;
+  }
+}
+
+TEST(WireTest, CountsMustFitTheRemainingPayload) {
+  WireWriter writer;
+  writer.U32(3);
+  writer.U64(0);
+  writer.U32(0);
+  {
+    WireReader reader(writer.buffer());
+    EXPECT_EQ(reader.Count(4).value_or(0), 3u);  // 3 * 4 == 12 bytes left
+  }
+  {
+    WireReader reader(writer.buffer());
+    EXPECT_EQ(reader.Count(5).status().code(), StatusCode::kParseError);
+  }
+  WireWriter huge;
+  huge.U32(0xFFFFFFFFu);
+  EXPECT_EQ(WireReader(huge.buffer()).Count(1).status().code(), StatusCode::kParseError);
+  WireWriter var;
+  var.Var(UINT64_MAX);
+  EXPECT_EQ(WireReader(var.buffer()).VarCount(0).status().code(), StatusCode::kParseError);
+}
+
 // --- Frame header validation ---
 
 TEST(FrameTest, HeaderRoundTrip) {

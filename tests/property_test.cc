@@ -26,9 +26,9 @@
 #include "src/sia/ranking.h"
 #include "src/sia/risk_groups.h"
 #include "src/sia/sampling.h"
-#include "src/topology/fat_tree.h"
 #include "src/util/rng.h"
 #include "src/util/strings.h"
+#include "tests/fat_tree_shape.h"
 
 namespace indaas {
 namespace {
@@ -337,36 +337,15 @@ TEST(AbsorbOracleTest, LargeArenasTakeThePoolAndStillMatch) {
 // the AND gate and for 2-of-3, and the groups must pass the BDD oracle.
 TEST(RgOracleTest, FatTreeGroupsIdenticalSequentialAndOnSharedPool) {
   constexpr uint32_t kPorts = 16;
-  auto topo = BuildFatTree(kPorts);
-  ASSERT_TRUE(topo.ok()) << topo.status().ToString();
-  auto internet = topo->FindDevice("Internet");
-  ASSERT_TRUE(internet.ok());
   Rng rng(16);
-  const std::vector<std::string> cpus = {"XeonE5-2650", "XeonE5-2680", "EPYC-7302"};
-  const std::vector<std::string> libcs = {"libc6=2.13", "libc6=2.14", "libc6=2.19"};
-  DepDb db;
-  for (DeviceId server : topo->DevicesOfType(DeviceType::kServer)) {
-    const std::string& name = topo->device(server).name;
-    std::vector<NetworkDependency> routes = topo->NetworkDependencies(server, *internet, 64);
-    rng.Shuffle(routes);
-    routes.resize(std::min<size_t>(routes.size(), 3));
-    for (const NetworkDependency& route : routes) {
-      db.Add(route);
-    }
-    db.Add(HardwareDependency{name, "CPU", cpus[rng.NextBelow(cpus.size())]});
-    db.Add(SoftwareDependency{"riak", name, {libcs[rng.NextBelow(libcs.size())]}});
-  }
+  auto db = FatTreeShapeDepDb(kPorts, rng);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
   const uint64_t tasks_before = ComputePoolTasks();
   for (int trial = 0; trial < 8; ++trial) {
-    std::vector<std::string> servers;
-    for (uint32_t pod = 0; pod < 3; ++pod) {
-      servers.push_back(StrFormat("pod%u-srv%u-%u", (trial * 3 + pod) % kPorts,
-                                  static_cast<uint32_t>(rng.NextBelow(kPorts / 2)),
-                                  static_cast<uint32_t>(rng.NextBelow(kPorts / 2))));
-    }
+    std::vector<std::string> servers = FatTreeShapeDeployment(kPorts, trial, rng);
     BuildOptions build;
     build.required_servers = trial % 4 == 0 ? 0 : 2;
-    auto graph = BuildDeploymentFaultGraph(db, servers, build);
+    auto graph = BuildDeploymentFaultGraph(*db, servers, build);
     ASSERT_TRUE(graph.ok()) << graph.status().ToString();
     MinimalRgOptions sequential;
     sequential.threads = 1;

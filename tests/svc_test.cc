@@ -14,6 +14,7 @@
 #include "src/deps/depdb.h"
 #include "src/net/frame.h"
 #include "src/net/socket.h"
+#include "src/net/wire.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
@@ -112,31 +113,139 @@ TEST(ProtoTest, AuditSpecificationRoundTripAllFields) {
   EXPECT_EQ(decoded->score_top_n, spec.score_top_n);
 }
 
-TEST(ProtoTest, SiaAuditReportRoundTrip) {
+// A report with a three-name table: RG 1 is {net:core1}, RG 2 is
+// {hw:sed900, pkg:libc6=2.13}.
+SiaAuditReport TableReport() {
   SiaAuditReport report;
   report.algorithm = RgAlgorithm::kSampling;
   report.metric = RankingMetric::kFailureProbability;
   DeploymentAudit audit;
   audit.servers = {"S1", "S3"};
-  audit.ranked_groups.push_back({{"net:core1"}, 1.5});
-  audit.ranked_groups.push_back({{"hw:sed900", "pkg:libc6=2.13"}, 2.0});
+  audit.components = {"hw:sed900", "net:core1", "pkg:libc6=2.13"};
+  audit.ranked_groups.push_back({{1}, 1.5});
+  audit.ranked_groups.push_back({{0, 2}, 2.0});
   audit.independence_score = 3.5;
   audit.unexpected_rgs = 2;
   audit.top_event_prob = 0.015625;
   report.deployments.push_back(audit);
-  auto decoded = DecodeSiaAuditReport(EncodeSiaAuditReport(report));
-  ASSERT_TRUE(decoded.ok());
+  return report;
+}
+
+TEST(ProtoTest, SiaAuditReportRoundTrip) {
+  const SiaAuditReport report = TableReport();
+  const DeploymentAudit& audit = report.deployments[0];
+  const std::string encoded = EncodeSiaAuditReport(report);
+  auto decoded = DecodeSiaAuditReport(encoded);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->algorithm, report.algorithm);
   EXPECT_EQ(decoded->metric, report.metric);
   ASSERT_EQ(decoded->deployments.size(), 1u);
   const DeploymentAudit& d = decoded->deployments[0];
   EXPECT_EQ(d.servers, audit.servers);
+  EXPECT_EQ(d.components, audit.components);
   ASSERT_EQ(d.ranked_groups.size(), 2u);
-  EXPECT_EQ(d.ranked_groups[1].components, audit.ranked_groups[1].components);
+  EXPECT_EQ(d.ranked_groups[1].ids, audit.ranked_groups[1].ids);
+  EXPECT_EQ(d.Names(d.ranked_groups[1]),
+            (std::vector<std::string>{"hw:sed900", "pkg:libc6=2.13"}));
   EXPECT_EQ(d.ranked_groups[1].score, 2.0);
   EXPECT_EQ(d.independence_score, 3.5);
   EXPECT_EQ(d.unexpected_rgs, 2u);
   EXPECT_EQ(d.top_event_prob, 0.015625);
+  // The encoding is a direct serialisation: re-encoding gives the same bytes.
+  EXPECT_EQ(EncodeSiaAuditReport(*decoded), encoded);
+  for (size_t cut = 0; cut < encoded.size(); ++cut) {
+    EXPECT_EQ(DecodeSiaAuditReport(encoded.substr(0, cut)).status().code(),
+              StatusCode::kParseError)
+        << "cut " << cut;
+  }
+}
+
+// A hand-built report payload with one deployment whose name table is
+// `table`; `groups` holds each group's raw varints (count, first id, gaps).
+std::string ReportPayload(const std::vector<std::string>& table,
+                          const std::vector<std::vector<uint64_t>>& groups) {
+  net::WireWriter writer;
+  writer.U8(0);
+  writer.U8(0);
+  writer.U32(1);
+  writer.StrVec({"S1", "S2"});
+  writer.Var(table.size());
+  for (const std::string& name : table) {
+    writer.VarBytes(name);
+  }
+  writer.Var(groups.size());
+  for (const std::vector<uint64_t>& group : groups) {
+    for (uint64_t value : group) {
+      writer.Var(value);
+    }
+    writer.F64(1.0);
+  }
+  writer.F64(0.5);
+  writer.U64(0);
+  writer.F64(0.0);
+  return writer.Take();
+}
+
+TEST(ProtoTest, SiaAuditReportRejectsBadIdsAndTrailingBytes) {
+  const std::vector<std::string> table = {"a", "b", "c"};
+  // ids {0, 2}: first id 0, gap 2.
+  auto good = DecodeSiaAuditReport(ReportPayload(table, {{2, 0, 2}}));
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  EXPECT_EQ(good->deployments[0].ranked_groups[0].ids, (std::vector<uint32_t>{0, 2}));
+  const std::vector<std::pair<const char*, std::string>> bad = {
+      {"first id past the table", ReportPayload(table, {{1, 3}})},
+      {"gap past the table", ReportPayload(table, {{2, 1, 2}})},
+      {"huge gap", ReportPayload(table, {{2, 1, UINT64_MAX}})},
+      {"repeated id", ReportPayload(table, {{2, 1, 0}})},
+      {"id into an empty table", ReportPayload({}, {{1, 0}})},
+      {"trailing byte", ReportPayload(table, {{1, 0}}) + "x"},
+      {"member count past the payload", ReportPayload(table, {{200}})},
+  };
+  for (const auto& [what, payload] : bad) {
+    EXPECT_EQ(DecodeSiaAuditReport(payload).status().code(), StatusCode::kParseError) << what;
+  }
+}
+
+TEST(ProtoTest, HostileRepeatedFieldCountsRejectedBeforeAllocating) {
+  auto hostile = [](std::initializer_list<uint32_t> prefix) {
+    net::WireWriter writer;
+    for (uint32_t value : prefix) {
+      writer.U32(value);
+    }
+    return writer.Take();
+  };
+  constexpr uint32_t kHuge = 0xFFFFFFFFu;
+  EXPECT_EQ(DecodeAuditSpecification(hostile({kHuge}) + EncodeAuditSpecification(TestSpec()))
+                .status()
+                .code(),
+            StatusCode::kParseError);
+  EXPECT_EQ(DecodeSiaAuditReport(std::string(2, '\0') + hostile({kHuge})).status().code(),
+            StatusCode::kParseError);
+  EXPECT_EQ(DecodePiaRequest(hostile({kHuge})).status().code(), StatusCode::kParseError);
+  EXPECT_EQ(DecodePiaAuditReport(hostile({2, kHuge})).status().code(),
+            StatusCode::kParseError);  // levels
+  EXPECT_EQ(DecodePiaAuditReport(hostile({2, 1, kHuge})).status().code(),
+            StatusCode::kParseError);  // entries
+  EXPECT_EQ(DecodePiaAuditReport(hostile({2, 0, kHuge})).status().code(),
+            StatusCode::kParseError);  // stats
+  EXPECT_EQ(DecodePsopDataset(hostile({0, 8, kHuge})).status().code(),
+            StatusCode::kParseError);
+  // The report's varint counts: table size, group count, member count.
+  for (int field = 0; field < 2; ++field) {
+    net::WireWriter writer;
+    writer.U8(0);
+    writer.U8(0);
+    writer.U32(1);
+    writer.StrVec({});
+    if (field == 1) {
+      writer.Var(0);  // an empty table, then the group count
+    }
+    writer.Var(kHuge);
+    EXPECT_EQ(DecodeSiaAuditReport(writer.buffer()).status().code(), StatusCode::kParseError)
+        << "field " << field;
+  }
+  EXPECT_EQ(DecodeSiaAuditReport(ReportPayload({"a"}, {{kHuge}})).status().code(),
+            StatusCode::kParseError);
 }
 
 TEST(ProtoTest, PiaRequestRoundTrip) {
@@ -591,6 +700,24 @@ TEST(AuditServerTest, BadRequestGetsErrorReplyAndConnectionSurvives) {
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.status().message().find("remote: "), std::string::npos);
   // The error was payload-level, not framing: the connection keeps working.
+  EXPECT_TRUE(client->Ping().ok());
+  server.Stop();
+}
+
+TEST(AuditServerTest, HostileDeploymentCountGetsErrorReplyAndConnectionSurvives) {
+  // An AuditRequest claiming 2^32 - 1 deployments: the decoder must refuse
+  // the count before reserving for it, and the server must answer with an
+  // ErrorReply and keep serving.
+  AuditServer server;
+  ASSERT_TRUE(server.Start().ok());
+  auto client = AuditClient::Connect(net::Endpoint{"127.0.0.1", server.port()});
+  ASSERT_TRUE(client.ok());
+  const std::string valid = EncodeAuditSpecification(TestSpec());
+  const std::string hostile = std::string(4, '\xFF') + valid.substr(4);
+  auto reply = client->Call(MsgType::kAuditRequest, hostile, MsgType::kAuditReport);
+  ASSERT_FALSE(reply.ok());
+  EXPECT_EQ(reply.status().code(), StatusCode::kParseError) << reply.status().ToString();
+  EXPECT_NE(reply.status().message().find("remote: "), std::string::npos);
   EXPECT_TRUE(client->Ping().ok());
   server.Stop();
 }
@@ -1177,9 +1304,11 @@ uint64_t ClientCounter(const char* name) {
 // type of every request frame it reads. kSilent never answers. kHangUpOnce
 // closes the first connection right after reading its first request, then
 // answers every later request with an empty reply of the expected type.
+// kRetiredReportType answers audits as a server from before the name table
+// did: a name-list report under the retired message type 6.
 class ScriptedServer {
  public:
-  enum class Mode { kSilent, kHangUpOnce };
+  enum class Mode { kSilent, kHangUpOnce, kRetiredReportType };
 
   explicit ScriptedServer(Mode mode) : mode_(mode) {
     auto listener = net::TcpListen(0);
@@ -1201,7 +1330,27 @@ class ScriptedServer {
   }
 
  private:
-  static std::pair<MsgType, std::string> EmptyReply(MsgType request) {
+  // The retired report layout: per deployment, each group a u32-counted
+  // list of u32-length names.
+  static std::string RetiredReport() {
+    net::WireWriter writer;
+    writer.U8(0);
+    writer.U8(0);
+    writer.U32(1);
+    writer.StrVec({"S1", "S2"});
+    writer.U32(1);
+    writer.StrVec({"net:tor1"});
+    writer.F64(1.0);
+    writer.F64(1.0);
+    writer.U64(1);
+    writer.F64(0.0);
+    return writer.Take();
+  }
+
+  std::pair<MsgType, std::string> Reply(MsgType request) const {
+    if (mode_ == Mode::kRetiredReportType && request == MsgType::kAuditRequest) {
+      return {static_cast<MsgType>(6), RetiredReport()};
+    }
     switch (request) {
       case MsgType::kAuditRequest:
         return {MsgType::kAuditReport, EncodeSiaAuditReport(SiaAuditReport{})};
@@ -1234,11 +1383,11 @@ class ScriptedServer {
         if (mode_ == Mode::kSilent) {
           continue;
         }
-        if (!hung_up) {
+        if (mode_ == Mode::kHangUpOnce && !hung_up) {
           hung_up = true;
           break;
         }
-        auto [reply, payload] = EmptyReply(type);
+        auto [reply, payload] = Reply(type);
         if (!net::WriteFrame(*conn, static_cast<uint8_t>(reply), payload, 2000, {},
                              frame->request_id)
                  .ok()) {
@@ -1334,6 +1483,23 @@ TEST(AuditClientTest, ImportAndProfileAreNeverReplayed) {
     EXPECT_TRUE(client->Ping().ok());
     EXPECT_EQ(server.Received(type), 1u) << MsgTypeName(type);
   }
+}
+
+TEST(AuditClientTest, RetiredReportTypeIsATypedError) {
+  // A server from before the name table answers audits with message type 6.
+  // The client must fail that request with a typed error naming the type,
+  // never parse it as a report, and keep the connection.
+  ScriptedServer server(ScriptedServer::Mode::kRetiredReportType);
+  auto client = AuditClient::Connect(server.endpoint());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  auto report = client->AuditStructural(TestSpec());
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kProtocolError) << report.status().ToString();
+  EXPECT_NE(report.status().message().find("unexpected reply type 6 (want 24)"),
+            std::string::npos)
+      << report.status().ToString();
+  EXPECT_EQ(server.Received(MsgType::kAuditRequest), 1u);
+  EXPECT_TRUE(client->Ping().ok());
 }
 
 TEST(AuditClientTest, IdleClientShutsDownAtOnce) {
