@@ -16,7 +16,9 @@
 // smaller* row, so rows are processed level by level (popcount ascending)
 // and each level is tested — optionally in parallel shards — against the
 // frozen set of smaller survivors. A counting sort by popcount orders the
-// rows: keys are at most stride*64, so it is stable and O(n). The surviving
+// rows: keys are at most stride*64, so it is stable and O(n). The survivors
+// sit in a per-bit index, each under one of its bits, so a row is tested
+// only against survivors filed under one of its own bits. The surviving
 // set is unique, and rows are emitted in (popcount, first-appearance)
 // order, so results are byte-identical no matter how many threads
 // participate.
@@ -158,9 +160,10 @@ class CutSetArena {
 // hash-eliminated, then any row that is a proper superset of another row is
 // dropped (bucket-by-popcount, smaller buckets absorb larger ones). Rows are
 // emitted in (popcount ascending, first-appearance) order. When `parallel`
-// is set and a popcount level has enough candidate×survivor work, the
-// subset tests for that level run as shards on the shared ComputePool();
-// the output is byte-identical to the sequential path.
+// is set and the survivors a popcount level must be tested against pass a
+// work threshold, the subset tests for that level run as shards on the
+// shared ComputePool(); the output is byte-identical to the sequential
+// path. `sets` must hold fewer than 2^32 - 1 rows (row indices are 32-bit).
 CutSetArena AbsorbMinimal(const CutSetArena& sets, bool parallel);
 
 }  // namespace indaas

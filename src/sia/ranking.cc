@@ -15,12 +15,17 @@ std::vector<RankedRiskGroup> RankBySize(std::vector<RiskGroup> groups) {
   INDAAS_TRACE_SPAN_NAMED(span, "sia.rank");
   span.Annotate("method", "size");
   span.Annotate("groups", std::to_string(groups.size()));
-  std::sort(groups.begin(), groups.end(), [](const RiskGroup& a, const RiskGroup& b) {
+  auto by_size = [](const RiskGroup& a, const RiskGroup& b) {
     if (a.size() != b.size()) {
       return a.size() < b.size();
     }
     return a < b;
-  });
+  };
+  // ComputeMinimalRiskGroups and MinimizeRiskGroups already return this
+  // order; checking it is one pass, sorting again is n log n.
+  if (!std::is_sorted(groups.begin(), groups.end(), by_size)) {
+    std::sort(groups.begin(), groups.end(), by_size);
+  }
   std::vector<RankedRiskGroup> ranked;
   ranked.reserve(groups.size());
   for (RiskGroup& group : groups) {

@@ -42,15 +42,48 @@ bool IsSubsetOf(const RiskGroup& a, const RiskGroup& b) {
 
 namespace {
 
-// Canonical output order: size ascending, then lexicographic — the contract
-// documented on MinimizeRiskGroups.
-void SortGroups(std::vector<RiskGroup>& groups) {
-  std::sort(groups.begin(), groups.end(), [](const RiskGroup& a, const RiskGroup& b) {
-    if (a.size() != b.size()) {
-      return a.size() < b.size();
+// The rows as public RiskGroups in the canonical order documented on
+// MinimizeRiskGroups: size ascending, then lexicographic. `id_of` must
+// ascend with the bit index, so each group comes out sorted and the lowest
+// bit at which two rows of one size differ belongs to the lexicographically
+// smaller group: the rows are ordered as words before any group is built.
+template <typename IdOf>
+std::vector<RiskGroup> SortedGroups(const CutSetArena& rows, const IdOf& id_of) {
+  const size_t stride = rows.stride();
+  std::vector<uint32_t> pc(rows.size());
+  std::vector<size_t> order(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    pc[i] = static_cast<uint32_t>(RowPopcount(rows.row(i), stride));
+    order[i] = i;
+  }
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    if (pc[a] != pc[b]) {
+      return pc[a] < pc[b];
     }
-    return a < b;
+    const uint64_t* row_a = rows.row(a);
+    const uint64_t* row_b = rows.row(b);
+    for (size_t w = 0; w < stride; ++w) {
+      if (row_a[w] != row_b[w]) {
+        const uint64_t differ = row_a[w] ^ row_b[w];
+        return (row_a[w] & differ & (~differ + 1)) != 0;
+      }
+    }
+    return false;
   });
+  std::vector<RiskGroup> groups;
+  groups.reserve(rows.size());
+  for (size_t i : order) {
+    const uint64_t* row = rows.row(i);
+    RiskGroup group;
+    group.reserve(pc[i]);
+    for (size_t w = 0; w < stride; ++w) {
+      for (uint64_t word = row[w]; word != 0; word &= word - 1) {
+        group.push_back(id_of(w * 64 + static_cast<size_t>(__builtin_ctzll(word))));
+      }
+    }
+    groups.push_back(std::move(group));
+  }
+  return groups;
 }
 
 // The cut-set engine: fixed-stride uint64_t rows over the basic events
@@ -247,22 +280,11 @@ Result<MinimalRgResult> EnumerateMinimalRiskGroups(const FaultGraph& graph,
       }
     }
   }
-  CutSetArena minimal = AbsorbMinimal(cut_sets[graph.top_event()], parallel);
-  result.groups.reserve(minimal.size());
-  for (size_t i = 0; i < minimal.size(); ++i) {
-    const uint64_t* row = minimal.row(i);
-    RiskGroup group;
-    for (size_t w = 0; w < stride; ++w) {
-      uint64_t word = row[w];
-      while (word != 0) {
-        const size_t bit = w * 64 + static_cast<size_t>(__builtin_ctzll(word));
-        group.push_back(index.IdFor(bit));
-        word &= word - 1;
-      }
-    }
-    result.groups.push_back(std::move(group));
-  }
-  SortGroups(result.groups);
+  // Under inline absorption every gate already left its rows minimal.
+  CutSetArena& top = cut_sets[graph.top_event()];
+  const CutSetArena minimal =
+      options.inline_absorption ? std::move(top) : AbsorbMinimal(top, parallel);
+  result.groups = SortedGroups(minimal, [&](size_t bit) { return index.IdFor(bit); });
   return result;
 }
 
@@ -292,24 +314,8 @@ std::vector<RiskGroup> MinimizeRiskGroups(std::vector<RiskGroup> groups) {
       row[bit / 64] |= 1ULL << (bit % 64);
     }
   }
-  CutSetArena minimal = AbsorbMinimal(arena, /*parallel=*/false);
-  std::vector<RiskGroup> out;
-  out.reserve(minimal.size());
-  for (size_t i = 0; i < minimal.size(); ++i) {
-    const uint64_t* row = minimal.row(i);
-    RiskGroup group;
-    for (size_t w = 0; w < stride; ++w) {
-      uint64_t word = row[w];
-      while (word != 0) {
-        const size_t bit = w * 64 + static_cast<size_t>(__builtin_ctzll(word));
-        group.push_back(universe[bit]);
-        word &= word - 1;
-      }
-    }
-    out.push_back(std::move(group));
-  }
-  SortGroups(out);
-  return out;
+  return SortedGroups(AbsorbMinimal(arena, /*parallel=*/false),
+                      [&](size_t bit) { return universe[bit]; });
 }
 
 Result<MinimalRgResult> ComputeMinimalRiskGroups(const FaultGraph& graph,

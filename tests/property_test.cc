@@ -296,10 +296,73 @@ TEST_P(AbsorbOracleTest, MatchesBruteForceWithAndWithoutThePool) {
   }
 }
 
+// Shapes that stress AbsorbMinimal's per-bit survivor index, each drawn
+// from a narrow universe of bits so that many rows absorb others:
+// - every row holds one common bit, the lowest or the highest of the row
+//   space, so that bit's bucket could take every survivor;
+// - rows are all rotations of a few patterns, so every bit is held by
+//   equally many rows and each key is a tie;
+// - stride 2 and 3 rows draw their bits around the 64-bit word boundaries.
+TEST_P(AbsorbOracleTest, IndexShapesMatchBruteForce) {
+  Rng rng(GetParam() * 104723 + 11);
+  auto set_bit = [](uint64_t* row, size_t bit) { row[bit / 64] |= 1ULL << (bit % 64); };
+  auto check = [&](const CutSetArena& sets, const std::string& where) {
+    CutSetArena want = BruteForceMinimal(sets);
+    ExpectSameRows(AbsorbMinimal(sets, /*parallel=*/false), want, where + " sequential");
+    ExpectSameRows(AbsorbMinimal(sets, /*parallel=*/true), want, where + " pool");
+  };
+  for (size_t stride = 1; stride <= 3; ++stride) {
+    const size_t bits = stride * 64;
+    for (size_t common : {size_t{0}, bits - 1}) {
+      CutSetArena sets(stride);
+      for (size_t r = 0; r < 300; ++r) {
+        uint64_t* row = sets.AppendZero();
+        set_bit(row, common);
+        const size_t members = rng.NextBelow(5);
+        for (size_t m = 0; m < members; ++m) {
+          set_bit(row, 1 + rng.NextBelow(12) * ((bits - 2) / 12));
+        }
+      }
+      check(sets, StrFormat("stride %zu common bit %zu", stride, common));
+    }
+    {
+      const size_t universe = 8 + rng.NextBelow(8);
+      CutSetArena sets(stride);
+      for (size_t pattern = 0; pattern < 6; ++pattern) {
+        const uint64_t mask = rng.NextBelow((uint64_t{1} << universe) - 1) + 1;
+        for (size_t shift = 0; shift < universe; ++shift) {
+          uint64_t* row = sets.AppendZero();
+          for (size_t b = 0; b < universe; ++b) {
+            if ((mask >> b) & 1) {
+              set_bit(row, ((b + shift) % universe) * (bits / universe));
+            }
+          }
+        }
+      }
+      check(sets, StrFormat("stride %zu rotations of %zu bits", stride, universe));
+    }
+    if (stride > 1) {
+      // Bits 60..67, 124..131 (and so on): four either side of each boundary.
+      CutSetArena sets(stride);
+      for (size_t r = 0; r < 300; ++r) {
+        uint64_t* row = sets.AppendZero();
+        const size_t members = 1 + rng.NextBelow(6);
+        for (size_t m = 0; m < members; ++m) {
+          const size_t boundary = 64 * (1 + rng.NextBelow(stride - 1));
+          set_bit(row, boundary - 4 + rng.NextBelow(8));
+        }
+      }
+      check(sets, StrFormat("stride %zu across word boundaries", stride));
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, AbsorbOracleTest, ::testing::Range<uint64_t>(1, 9));
 
 // Large enough that popcount levels cross the parallel-absorption threshold,
-// so the shared pool really runs shards.
+// so the shared pool really runs shards. That threshold counts the survivor
+// index entries a level's candidates walk; 25,000 rows take 15 levels each
+// of strides 2 and 3 past it.
 TEST(AbsorbOracleTest, LargeArenasTakeThePoolAndStillMatch) {
   Rng rng(104729);
   const uint64_t tasks_before = ComputePoolTasks();
@@ -307,7 +370,7 @@ TEST(AbsorbOracleTest, LargeArenasTakeThePoolAndStillMatch) {
     CutSetArena sets(stride);
     // Sparse wide rows rarely contain one another, so the survivor set (and
     // the per-level subset work) grows with the input.
-    for (size_t r = 0; r < 2500; ++r) {
+    for (size_t r = 0; r < 25000; ++r) {
       uint64_t* row = sets.AppendZero();
       const size_t members = 2 + rng.NextBelow(stride * 24);
       for (size_t m = 0; m < members; ++m) {
