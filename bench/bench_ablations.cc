@@ -1,7 +1,6 @@
 // Ablation benches for the design choices called out in DESIGN.md §4:
-//   1. inline absorption in the minimal-RG cut-set products (perf knob);
-//   2. MinHash sample size m vs Jaccard estimation error (O(1/sqrt(m)));
-//   3. failure-sampling coin bias and greedy-shrink mode (quality knobs).
+//   1. MinHash sample size m vs Jaccard estimation error (O(1/sqrt(m)));
+//   2. failure-sampling coin bias and greedy-shrink mode (quality knobs).
 //
 //   bench_ablations [--servers=3] [--paths=8] [--rounds=20000]
 
@@ -20,7 +19,6 @@
 #include "src/util/flags.h"
 #include "src/util/stats.h"
 #include "src/util/strings.h"
-#include "src/util/timer.h"
 
 using namespace indaas;
 
@@ -52,7 +50,7 @@ int main(int argc, char** argv) {
   FlagSet flags;
   flags.AddInt("servers", &servers, "deployment width for the RG workload");
   flags.AddInt("paths", &paths, "ECMP paths per server");
-  flags.AddInt("rounds", &rounds, "sampling rounds for ablation 3");
+  flags.AddInt("rounds", &rounds, "sampling rounds for ablation 2");
   if (Status s = flags.Parse(argc, argv); !s.ok()) {
     std::fprintf(stderr, "%s\n", s.ToString().c_str());
     return 1;
@@ -64,39 +62,8 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // --- Ablation 1: inline absorption ---
-  // Without inline absorption the cartesian products grow as (3^paths)^servers
-  // before any pruning, so this ablation runs on a reduced 2-server workload
-  // under an explicit cut-set budget: tripping the budget IS the result.
-  std::printf("=== Ablation 1: inline absorption in the minimal-RG algorithm ===\n");
-  std::printf("(workload: 2-server deployment in topology A, 6 paths each)\n\n");
-  auto small_graph = BuildWorkloadGraph(2, 6);
-  if (!small_graph.ok()) {
-    std::fprintf(stderr, "%s\n", small_graph.status().ToString().c_str());
-    return 1;
-  }
-  TextTable ab1({"Inline absorption", "Time", "Minimal RGs"});
-  for (bool inline_absorption : {true, false}) {
-    MinimalRgOptions options;
-    options.inline_absorption = inline_absorption;
-    options.max_cut_sets_per_node = 20000000;  // ~2 GB worst case
-    WallTimer timer;
-    auto groups = ComputeMinimalRiskGroups(*small_graph, options);
-    if (!groups.ok()) {
-      ab1.AddRow({inline_absorption ? "on" : "off", HumanSeconds(timer.ElapsedSeconds()),
-                  "budget exceeded: " + std::string(StatusCodeName(groups.status().code()))});
-      continue;
-    }
-    ab1.AddRow({inline_absorption ? "on" : "off", HumanSeconds(timer.ElapsedSeconds()),
-                std::to_string(groups->groups.size())});
-  }
-  ab1.Print();
-  std::printf("Identical results when both finish; absorption prunes dominated cut sets\n"
-              "before the cartesian products amplify them (without it, this workload's\n"
-              "intermediate lists grow ~3^paths per server and soon exhaust any budget).\n\n");
-
-  // --- Ablation 2: MinHash m ---
-  std::printf("=== Ablation 2: MinHash sample size vs estimation error ===\n\n");
+  // --- Ablation 1: MinHash m ---
+  std::printf("=== Ablation 1: MinHash sample size vs estimation error ===\n\n");
   PackageUniverse universe = PackageUniverse::KeyValueStoreUniverse();
   const char* programs[] = {"riak", "mongodb-server", "redis-server", "couchdb"};
   std::vector<std::vector<std::string>> closures;
@@ -107,7 +74,7 @@ int main(int argc, char** argv) {
     }
     closures.push_back(std::move(closure).value());
   }
-  TextTable ab2({"m", "Mean |error|", "Max |error|", "1/sqrt(m)", "P-SOP encryptions/provider"});
+  TextTable ab1({"m", "Mean |error|", "Max |error|", "1/sqrt(m)", "P-SOP encryptions/provider"});
   for (size_t m : {16u, 64u, 256u, 1024u}) {
     RunningStats error;
     size_t encrypt_ops = 0;
@@ -125,23 +92,23 @@ int main(int argc, char** argv) {
         encrypt_ops = approx->party_stats[0].encrypt_ops;
       }
     }
-    ab2.AddRow({std::to_string(m), StrFormat("%.4f", error.mean()),
+    ab1.AddRow({std::to_string(m), StrFormat("%.4f", error.mean()),
                 StrFormat("%.4f", error.max()),
                 StrFormat("%.4f", 1.0 / std::sqrt(static_cast<double>(m))),
                 std::to_string(encrypt_ops)});
   }
-  ab2.Print();
+  ab1.Print();
   std::printf("Broder's bound holds: error shrinks as 1/sqrt(m) while protocol cost\n"
               "grows linearly in m.\n\n");
 
-  // --- Ablation 3: sampling bias and shrink mode ---
-  std::printf("=== Ablation 3: failure-sampling coin bias x shrink mode ===\n\n");
+  // --- Ablation 2: sampling bias and shrink mode ---
+  std::printf("=== Ablation 2: failure-sampling coin bias x shrink mode ===\n\n");
   auto truth = ComputeMinimalRiskGroups(*graph);
   if (!truth.ok()) {
     return 1;
   }
   std::set<RiskGroup> truth_set(truth->groups.begin(), truth->groups.end());
-  TextTable ab3({"Shrink", "Bias", "Failing rounds", "Distinct RGs", "True minimal", "% detected"});
+  TextTable ab2({"Shrink", "Bias", "Failing rounds", "Distinct RGs", "True minimal", "% detected"});
   for (ShrinkMode shrink : {ShrinkMode::kGreedy, ShrinkMode::kNone}) {
     for (double bias : {0.05, 0.2, 0.5}) {
       SamplingOptions options;
@@ -159,14 +126,14 @@ int main(int argc, char** argv) {
           ++minimal_hits;
         }
       }
-      ab3.AddRow({shrink == ShrinkMode::kGreedy ? "greedy" : "none (paper)",
+      ab2.AddRow({shrink == ShrinkMode::kGreedy ? "greedy" : "none (paper)",
                   StrFormat("%.2f", bias), std::to_string(sampled->failing_rounds),
                   std::to_string(sampled->groups.size()), std::to_string(minimal_hits),
                   StrFormat("%.1f%%", 100.0 * static_cast<double>(minimal_hits) /
                                           static_cast<double>(truth->groups.size()))});
     }
   }
-  ab3.Print();
+  ab2.Print();
   std::printf("The paper's raw algorithm (shrink=none) needs a low bias to emit sets that\n"
               "happen to be minimal; greedy shrink makes every failing round productive.\n");
   return 0;

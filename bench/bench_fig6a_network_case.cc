@@ -119,7 +119,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", groups.status().ToString().c_str());
       return 1;
     }
-    ProbabilityRankingOptions prob;
+    TopEventOptions prob;
     prob.default_prob = 0.1;
     auto ranking = RankByImportance(*graph, groups->groups, prob);
     if (!ranking.ok()) {

@@ -109,7 +109,7 @@ Result<SiaAuditReport> RunSiaAudit(const DepDb& db, const AuditSpecification& sp
     if (spec.metric == RankingMetric::kSize) {
       ranked = RankBySize(std::move(groups));
     } else {
-      ProbabilityRankingOptions prob_options;
+      TopEventOptions prob_options;
       prob_options.default_prob = prob_model->default_prob();
       prob_options.seed = spec.seed;
       INDAAS_ASSIGN_OR_RETURN(ProbabilityRanking prob_ranking,

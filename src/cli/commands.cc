@@ -367,7 +367,7 @@ Status RunImportanceCommand(int argc, char** argv) {
   INDAAS_ASSIGN_OR_RETURN(std::string text, ReadFile(graph_path));
   INDAAS_ASSIGN_OR_RETURN(FaultGraph graph, ParseFaultGraph(text));
   INDAAS_ASSIGN_OR_RETURN(MinimalRgResult groups, ComputeMinimalRiskGroups(graph));
-  ImportanceOptions options;
+  TopEventOptions options;
   options.default_prob = default_prob;
   INDAAS_ASSIGN_OR_RETURN(std::vector<ComponentImportance> ranked,
                           RankComponentImportance(graph, groups.groups, options));

@@ -5,8 +5,8 @@
 // the number of groups; the classical fault-tree-analysis alternative
 // (Vesely et al. [60] lineage) compiles the monotone structure function into
 // a BDD and reads the top-event probability off it in time linear in BDD
-// size. Used by the ranking and importance code when graphs outgrow exact
-// inclusion-exclusion.
+// size. The ranking and importance code take every top-event probability
+// from it (TopEventEngine, src/sia/ranking.h).
 
 #ifndef SRC_GRAPH_BDD_H_
 #define SRC_GRAPH_BDD_H_

@@ -1,62 +1,13 @@
 #include "src/sia/importance.h"
 
 #include <algorithm>
-#include <functional>
 #include <map>
 
-#include "src/graph/bdd.h"
-#include "src/util/rng.h"
-
 namespace indaas {
-namespace {
-
-// Pr(top) over minimal RGs by inclusion-exclusion, with probabilities
-// supplied by `prob_of` (allows per-component conditioning).
-double ExactTopProb(const std::vector<RiskGroup>& groups,
-                    const std::function<double(NodeId)>& prob_of) {
-  const size_t n = groups.size();
-  double total = 0.0;
-  for (uint64_t mask = 1; mask < (1ULL << n); ++mask) {
-    RiskGroup merged;
-    for (size_t i = 0; i < n; ++i) {
-      if ((mask >> i) & 1) {
-        RiskGroup next;
-        std::set_union(merged.begin(), merged.end(), groups[i].begin(), groups[i].end(),
-                       std::back_inserter(next));
-        merged = std::move(next);
-      }
-    }
-    double term = 1.0;
-    for (NodeId id : merged) {
-      term *= prob_of(id);
-    }
-    total += (__builtin_popcountll(mask) % 2 == 1) ? term : -term;
-  }
-  return total;
-}
-
-// Monte-Carlo Pr(top) with per-component conditioning.
-double MonteCarloTopProb(const FaultGraph& graph, const std::function<double(NodeId)>& prob_of,
-                         size_t rounds, Rng& rng) {
-  std::vector<uint8_t> state(graph.NodeCount(), 0);
-  const auto& basics = graph.BasicEvents();
-  size_t failures = 0;
-  for (size_t round = 0; round < rounds; ++round) {
-    for (NodeId id : basics) {
-      state[id] = rng.NextBool(prob_of(id)) ? 1 : 0;
-    }
-    if (graph.Evaluate(state)) {
-      ++failures;
-    }
-  }
-  return rounds == 0 ? 0.0 : static_cast<double>(failures) / static_cast<double>(rounds);
-}
-
-}  // namespace
 
 Result<std::vector<ComponentImportance>> RankComponentImportance(
     const FaultGraph& graph, const std::vector<RiskGroup>& minimal_groups,
-    const ImportanceOptions& options) {
+    const TopEventOptions& options) {
   if (!graph.validated()) {
     return FailedPreconditionError("RankComponentImportance: graph not validated");
   }
@@ -69,58 +20,32 @@ Result<std::vector<ComponentImportance>> RankComponentImportance(
       ++memberships[id];
     }
   }
-  auto base_prob = [&](NodeId id) {
-    double p = graph.node(id).failure_prob;
-    return p == kUnknownProb ? options.default_prob : p;
-  };
-  const bool exact = minimal_groups.size() <= options.max_exact_terms;
-  // For large group counts, prefer exact BDD conditioning over Monte Carlo:
-  // compile the structure function once, then sweep per-variable overrides.
-  CompiledFaultGraph compiled;
-  bool have_bdd = false;
-  std::map<NodeId, size_t> var_of;
-  if (!exact) {
-    auto attempt = CompileFaultGraph(graph, options.default_prob);
-    if (attempt.ok()) {
-      compiled = std::move(attempt).value();
-      have_bdd = true;
-      for (size_t v = 0; v < compiled.variable_order.size(); ++v) {
-        var_of.emplace(compiled.variable_order[v], v);
-      }
-    }
-  }
-  auto top_prob = [&](NodeId conditioned, double value) {
-    auto prob_of = [&](NodeId id) { return id == conditioned ? value : base_prob(id); };
-    if (exact) {
-      return ExactTopProb(minimal_groups, prob_of);
-    }
-    if (have_bdd) {
-      std::vector<double> probs = compiled.probs;
-      auto it = var_of.find(conditioned);
-      if (it != var_of.end()) {
-        probs[it->second] = value;
-      }
-      return compiled.manager->Probability(compiled.root, probs);
-    }
-    Rng local(options.seed ^ (static_cast<uint64_t>(conditioned) * 0x9E3779B97F4A7C15ULL + 1));
-    return MonteCarloTopProb(graph, prob_of, options.monte_carlo_rounds, local);
-  };
-  double pr_top = top_prob(kInvalidNode, 0.0);  // unconditioned (id never matches)
+  // One engine for Pr(T) and every conditioned Pr(T | i failed / working):
+  // a conditioned call overrides one entry of the probability vector.
+  TopEventEngine engine(graph, options);
+  std::vector<double> probs = engine.base_probs();
+  const double pr_top = engine.Probability(probs);
   if (pr_top <= 0.0) {
     return InternalError("RankComponentImportance: top event probability is zero");
   }
 
+  const std::vector<NodeId>& basics = graph.BasicEvents();  // ascending ids (insertion order)
   std::vector<ComponentImportance> out;
   out.reserve(memberships.size());
   for (const auto& [id, count] : memberships) {
+    const size_t var = std::lower_bound(basics.begin(), basics.end(), id) - basics.begin();
+    const double base = probs[var];
     ComponentImportance entry;
     entry.id = id;
     entry.name = graph.node(id).name;
     entry.rg_memberships = count;
-    double up = top_prob(id, 1.0);   // Pr(T | i failed)
-    double down = top_prob(id, 0.0); // Pr(T | i working)
+    probs[var] = 1.0;
+    const double up = engine.Probability(probs);  // Pr(T | i failed)
+    probs[var] = 0.0;
+    const double down = engine.Probability(probs);  // Pr(T | i working)
+    probs[var] = base;
     entry.birnbaum = up - down;
-    entry.criticality = entry.birnbaum * base_prob(id) / pr_top;
+    entry.criticality = entry.birnbaum * base / pr_top;
     out.push_back(std::move(entry));
   }
   std::sort(out.begin(), out.end(), [](const ComponentImportance& a,

@@ -8,6 +8,10 @@
 //   * Birnbaum importance  B_i = Pr(T | i failed) − Pr(T | i working);
 //   * criticality importance C_i = B_i · p_i / Pr(T) — the probability that
 //     i's failure is contributing *and* the system is down.
+// Pr(T) and both conditioned probabilities come from ranking.h's
+// TopEventEngine: the fault graph's BDD, compiled once per call and read
+// with one event's probability set to 1 or 0, or past the BDD's node budget
+// its Monte-Carlo fallback.
 
 #ifndef SRC_SIA_IMPORTANCE_H_
 #define SRC_SIA_IMPORTANCE_H_
@@ -16,6 +20,7 @@
 #include <vector>
 
 #include "src/graph/fault_graph.h"
+#include "src/sia/ranking.h"
 #include "src/sia/risk_groups.h"
 #include "src/util/status.h"
 
@@ -29,19 +34,11 @@ struct ComponentImportance {
   double criticality = 0.0;
 };
 
-struct ImportanceOptions {
-  double default_prob = 0.01;  // for events without failure_prob
-  // Exact inclusion-exclusion limit (2^n terms); above it, Monte Carlo.
-  size_t max_exact_terms = 18;
-  size_t monte_carlo_rounds = 100000;
-  uint64_t seed = 1;
-};
-
 // Ranks every basic event that appears in at least one minimal RG, most
 // critical first (by criticality importance, then Birnbaum).
 Result<std::vector<ComponentImportance>> RankComponentImportance(
     const FaultGraph& graph, const std::vector<RiskGroup>& minimal_groups,
-    const ImportanceOptions& options = {});
+    const TopEventOptions& options = {});
 
 }  // namespace indaas
 

@@ -3,10 +3,10 @@
 #include "src/graph/bdd.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
+#include "src/util/rng.h"
 #include "src/util/thread_pool.h"
 
 #include <algorithm>
-#include <limits>
 #include <thread>
 
 namespace indaas {
@@ -44,89 +44,37 @@ double GroupProbability(const FaultGraph& graph, const RiskGroup& group, double 
   return group.empty() ? 0.0 : prob;
 }
 
-double TopEventProbabilityExact(const FaultGraph& graph, const std::vector<RiskGroup>& groups,
-                                double default_prob) {
-  // Inclusion–exclusion: Pr(union of "all events in RG_i fail") =
-  // sum over nonempty subsets S of (-1)^(|S|+1) * Pr(union of members fail).
-  const size_t n = groups.size();
-  if (n >= 64) {
-    // 1ULL << n would be undefined; callers must clamp (RankByImportance
-    // does) or route large group counts through the BDD / Monte Carlo.
-    return std::numeric_limits<double>::quiet_NaN();
-  }
-  double total = 0.0;
-  for (uint64_t mask = 1; mask < (1ULL << n); ++mask) {
-    RiskGroup merged;
-    for (size_t i = 0; i < n; ++i) {
-      if ((mask >> i) & 1) {
-        RiskGroup next;
-        std::set_union(merged.begin(), merged.end(), groups[i].begin(), groups[i].end(),
-                       std::back_inserter(next));
-        merged = std::move(next);
-      }
-    }
-    double term = GroupProbability(graph, merged, default_prob);
-    total += (__builtin_popcountll(mask) % 2 == 1) ? term : -term;
-  }
-  return total;
-}
-
-double TopEventProbabilityMonteCarlo(const FaultGraph& graph, double default_prob, size_t rounds,
-                                     Rng& rng) {
-  std::vector<uint8_t> state(graph.NodeCount(), 0);
-  const auto& basics = graph.BasicEvents();
-  std::vector<double> probs;
-  probs.reserve(basics.size());
-  for (NodeId id : basics) {
+TopEventEngine::TopEventEngine(const FaultGraph& graph, const TopEventOptions& options)
+    : graph_(graph), options_(options) {
+  base_probs_.reserve(graph.BasicEvents().size());
+  for (NodeId id : graph.BasicEvents()) {
     double p = graph.node(id).failure_prob;
-    probs.push_back(p == kUnknownProb ? default_prob : p);
+    base_probs_.push_back(p == kUnknownProb ? options.default_prob : p);
   }
-  size_t failures = 0;
-  for (size_t round = 0; round < rounds; ++round) {
-    for (size_t i = 0; i < basics.size(); ++i) {
-      state[basics[i]] = rng.NextBool(probs[i]) ? 1 : 0;
-    }
-    if (graph.Evaluate(state)) {
-      ++failures;
-    }
+  auto compiled = CompileFaultGraph(graph, options.default_prob, options.bdd_node_budget);
+  if (compiled.ok()) {
+    compiled_ = std::move(compiled).value();
   }
-  return rounds == 0 ? 0.0 : static_cast<double>(failures) / static_cast<double>(rounds);
 }
 
-double TopEventProbabilityMonteCarlo(const FaultGraph& graph, double default_prob, size_t rounds,
-                                     uint64_t seed, size_t threads) {
-  if (threads == 0) {
-    threads = std::max<size_t>(1, std::thread::hardware_concurrency());
+double TopEventEngine::Probability(const std::vector<double>& probs) const {
+  if (compiled_) {
+    return compiled_->manager->Probability(compiled_->root, probs);
   }
-  threads = std::min(threads, std::max<size_t>(1, rounds));
-  if (threads <= 1) {
-    Rng rng(seed);
-    return TopEventProbabilityMonteCarlo(graph, default_prob, rounds, rng);
-  }
-  // One shard per worker; shard seeds are drawn serially from a seeder so
-  // the set of streams depends only on (seed, threads).
-  Rng seeder(seed);
-  std::vector<uint64_t> shard_seeds(threads);
-  std::vector<size_t> shard_rounds(threads, rounds / threads);
-  for (size_t s = 0; s < threads; ++s) {
-    shard_seeds[s] = seeder.Next();
-    if (s < rounds % threads) {
-      ++shard_rounds[s];
-    }
-  }
-  std::vector<size_t> shard_failures(threads, 0);
-  ComputePool().ParallelFor(threads, [&](size_t s) {
-    Rng rng(shard_seeds[s]);
+  return TopEventProbabilityMonteCarlo(graph_, probs, options_.monte_carlo_rounds, options_.seed,
+                                       options_.threads);
+}
+
+double TopEventProbabilityMonteCarlo(const FaultGraph& graph, const std::vector<double>& probs,
+                                     size_t rounds, uint64_t seed, size_t threads) {
+  static obs::Counter* mc_rounds = obs::MetricsRegistry::Global().GetCounter("sia.rank.mc_rounds");
+  mc_rounds->Add(rounds);
+  const auto& basics = graph.BasicEvents();
+  auto count_failures = [&](uint64_t shard_seed, size_t shard_rounds) {
+    Rng rng(shard_seed);
     std::vector<uint8_t> state(graph.NodeCount(), 0);
-    const auto& basics = graph.BasicEvents();
-    std::vector<double> probs;
-    probs.reserve(basics.size());
-    for (NodeId id : basics) {
-      double p = graph.node(id).failure_prob;
-      probs.push_back(p == kUnknownProb ? default_prob : p);
-    }
     size_t failures = 0;
-    for (size_t round = 0; round < shard_rounds[s]; ++round) {
+    for (size_t round = 0; round < shard_rounds; ++round) {
       for (size_t i = 0; i < basics.size(); ++i) {
         state[basics[i]] = rng.NextBool(probs[i]) ? 1 : 0;
       }
@@ -134,18 +82,38 @@ double TopEventProbabilityMonteCarlo(const FaultGraph& graph, double default_pro
         ++failures;
       }
     }
-    shard_failures[s] = failures;
-  });
+    return failures;
+  };
+  if (threads == 0) {
+    threads = std::max<size_t>(1, std::thread::hardware_concurrency());
+  }
+  const size_t shards = std::min(threads, std::max<size_t>(1, rounds));
   size_t failures = 0;
-  for (size_t s = 0; s < threads; ++s) {
-    failures += shard_failures[s];
+  if (shards == 1) {
+    failures = count_failures(seed, rounds);
+  } else {
+    // Shard seeds are drawn serially from a seeder so the set of streams
+    // depends only on (seed, shards).
+    Rng seeder(seed);
+    std::vector<uint64_t> shard_seeds(shards);
+    for (uint64_t& shard_seed : shard_seeds) {
+      shard_seed = seeder.Next();
+    }
+    std::vector<size_t> shard_failures(shards, 0);
+    ComputePool().ParallelFor(shards, [&](size_t s) {
+      const size_t shard_rounds = rounds / shards + (s < rounds % shards ? 1 : 0);
+      shard_failures[s] = count_failures(shard_seeds[s], shard_rounds);
+    });
+    for (size_t shard : shard_failures) {
+      failures += shard;
+    }
   }
   return rounds == 0 ? 0.0 : static_cast<double>(failures) / static_cast<double>(rounds);
 }
 
 Result<ProbabilityRanking> RankByImportance(const FaultGraph& graph,
                                             const std::vector<RiskGroup>& minimal_groups,
-                                            const ProbabilityRankingOptions& options) {
+                                            const TopEventOptions& options) {
   if (!graph.validated()) {
     return FailedPreconditionError("RankByImportance: graph not validated");
   }
@@ -155,28 +123,9 @@ Result<ProbabilityRanking> RankByImportance(const FaultGraph& graph,
   INDAAS_TRACE_SPAN_NAMED(span, "sia.rank");
   span.Annotate("groups", std::to_string(minimal_groups.size()));
   ProbabilityRanking out;
-  // The inclusion-exclusion mask is 64-bit: >= 64 groups would shift out of
-  // range, so such inputs always take the BDD / Monte-Carlo route.
-  const size_t max_exact_terms = std::min<size_t>(options.max_exact_terms, 63);
-  if (minimal_groups.size() <= max_exact_terms) {
-    out.top_event_prob = TopEventProbabilityExact(graph, minimal_groups, options.default_prob);
-    span.Annotate("method", "exact");
-  } else {
-    // Too many groups for inclusion-exclusion: BDD compilation stays exact;
-    // Monte Carlo is the last resort when the BDD blows its budget.
-    auto bdd = TopEventProbabilityBdd(graph, options.default_prob, options.bdd_node_budget);
-    if (bdd.ok()) {
-      out.top_event_prob = *bdd;
-      span.Annotate("method", "bdd");
-    } else {
-      out.top_event_prob = TopEventProbabilityMonteCarlo(
-          graph, options.default_prob, options.monte_carlo_rounds, options.seed, options.threads);
-      static obs::Counter* mc_rounds =
-          obs::MetricsRegistry::Global().GetCounter("sia.rank.mc_rounds");
-      mc_rounds->Add(options.monte_carlo_rounds);
-      span.Annotate("method", "monte_carlo");
-    }
-  }
+  TopEventEngine engine(graph, options);
+  out.top_event_prob = engine.Probability(engine.base_probs());
+  span.Annotate("method", engine.exact() ? "bdd" : "monte_carlo");
   if (out.top_event_prob <= 0.0) {
     return InternalError("RankByImportance: top event probability is zero");
   }

@@ -4,9 +4,13 @@
 //   * size-based  — fewest components first ({ToR1} before {Core1, Core2});
 //   * probability — by relative importance I_C = Pr(C) / Pr(T), where Pr(C)
 //     is the joint failure probability of the RG (independence assumption)
-//     and Pr(T) the top event probability via inclusion–exclusion over the
-//     minimal RGs (§4.1.3's worked example), with a Monte-Carlo fallback when
-//     there are too many RGs for exact inclusion–exclusion.
+//     and Pr(T) the top event probability.
+//
+// Pr(T) has one engine, TopEventEngine: the fault graph's structure function
+// compiled into a BDD (src/graph/bdd.h), read exactly in time linear in its
+// size, with one sharded Monte-Carlo fallback for graphs whose BDD outgrows
+// its node budget. Component importance (importance.h) uses the same engine
+// for its conditioned probabilities.
 //
 // Independence score of a deployment (§4.1.4): sum over the top-n ranked RGs
 // of size(c_i) (size ranking) or I_{c_i} (probability ranking). Note the
@@ -17,11 +21,12 @@
 #ifndef SRC_SIA_RANKING_H_
 #define SRC_SIA_RANKING_H_
 
+#include <optional>
 #include <vector>
 
+#include "src/graph/bdd.h"
 #include "src/graph/fault_graph.h"
 #include "src/sia/risk_groups.h"
-#include "src/util/rng.h"
 #include "src/util/status.h"
 
 namespace indaas {
@@ -39,15 +44,12 @@ std::vector<RankedRiskGroup> RankBySize(std::vector<RiskGroup> groups);
 // events without a probability use `default_prob`.
 double GroupProbability(const FaultGraph& graph, const RiskGroup& group, double default_prob);
 
-struct ProbabilityRankingOptions {
+// How Pr(T) is computed, for probability ranking and component importance.
+struct TopEventOptions {
   // Events lacking failure_prob fall back to this.
   double default_prob = 0.01;
-  // Exact inclusion–exclusion is used up to this many minimal RGs (2^n
-  // terms); beyond it Pr(T) comes from BDD compilation (exact), and only if
-  // the BDD exceeds its node budget from Monte-Carlo evaluation. Values
-  // >= 64 are clamped to 63: the 2^n subset walk is a 64-bit mask, so larger
-  // group counts must take the BDD / Monte-Carlo route.
-  size_t max_exact_terms = 20;
+  // Pr(T) is exact from the fault graph's BDD while the BDD fits this many
+  // nodes; past it, Pr(T) is a Monte-Carlo estimate.
   size_t bdd_node_budget = 2000000;
   size_t monte_carlo_rounds = 200000;
   uint64_t seed = 1;
@@ -55,6 +57,33 @@ struct ProbabilityRankingOptions {
   // with per-shard Rng streams derived from `seed`, so results are
   // deterministic for a fixed shard count; shards run on ComputePool().
   size_t threads = 0;
+};
+
+// Pr(T) of a validated graph under any assignment of independent per-event
+// failure probabilities. The constructor compiles the graph's BDD once; each
+// Probability() call then reads it in time linear in its size. If the BDD
+// passes options.bdd_node_budget, every call runs
+// TopEventProbabilityMonteCarlo instead, with the same seed, so conditioned
+// estimates share their random numbers.
+class TopEventEngine {
+ public:
+  TopEventEngine(const FaultGraph& graph, const TopEventOptions& options);
+
+  // The graph's own probabilities, indexed like graph.BasicEvents(), with
+  // default_prob where an event has none.
+  const std::vector<double>& base_probs() const { return base_probs_; }
+
+  // Pr(T) with basic event graph.BasicEvents()[i] failing with probs[i].
+  double Probability(const std::vector<double>& probs) const;
+
+  // True when Probability() reads the BDD, false when it samples.
+  bool exact() const { return compiled_.has_value(); }
+
+ private:
+  const FaultGraph& graph_;
+  TopEventOptions options_;
+  std::vector<double> base_probs_;
+  std::optional<CompiledFaultGraph> compiled_;
 };
 
 struct ProbabilityRanking {
@@ -65,25 +94,17 @@ struct ProbabilityRanking {
 // Ranks minimal RGs by relative importance I_C = Pr(C)/Pr(T).
 Result<ProbabilityRanking> RankByImportance(const FaultGraph& graph,
                                             const std::vector<RiskGroup>& minimal_groups,
-                                            const ProbabilityRankingOptions& options = {});
+                                            const TopEventOptions& options = {});
 
-// Pr(top event) by inclusion–exclusion over minimal RGs (exact; use only for
-// small group counts — 2^n terms). Requires groups.size() < 64 (the subset
-// walk is a 64-bit mask); larger inputs return NaN instead of shifting out
-// of range. RankByImportance clamps max_exact_terms so it never hits this.
-double TopEventProbabilityExact(const FaultGraph& graph, const std::vector<RiskGroup>& groups,
-                                double default_prob);
-
-// Pr(top event) by Monte-Carlo evaluation of the fault graph itself.
-double TopEventProbabilityMonteCarlo(const FaultGraph& graph, double default_prob, size_t rounds,
-                                     Rng& rng);
-
-// Parallel variant: shards `rounds` into `threads` shards (0 = one per
-// hardware thread), each with its own Rng stream derived from `seed`, run on
-// the shared ComputePool(). The result is deterministic for a fixed shard
-// count; a single shard reproduces the serial Rng overload exactly.
-double TopEventProbabilityMonteCarlo(const FaultGraph& graph, double default_prob, size_t rounds,
-                                     uint64_t seed, size_t threads);
+// Pr(top event) estimated by evaluating the fault graph on `rounds` random
+// failure states, basic event graph.BasicEvents()[i] failing with probs[i].
+// Rounds are split into `threads` shards (0 = one per hardware thread), each
+// with its own Rng stream derived from `seed`, run on the shared
+// ComputePool(); one shard runs inline on the caller with Rng(seed). The
+// result is deterministic for a fixed seed and shard count. Adds `rounds` to
+// the sia.rank.mc_rounds counter.
+double TopEventProbabilityMonteCarlo(const FaultGraph& graph, const std::vector<double>& probs,
+                                     size_t rounds, uint64_t seed, size_t threads);
 
 // Independence score over the top-n entries (n = 0 means all): sum of scores.
 double IndependenceScore(const std::vector<RankedRiskGroup>& ranked, size_t top_n = 0);

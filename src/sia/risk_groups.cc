@@ -193,9 +193,7 @@ Result<MinimalRgResult> EnumerateMinimalRiskGroups(const FaultGraph& graph,
         for (NodeId child : node.children) {
           mine.AppendAll(cut_sets[child]);
         }
-        if (options.inline_absorption) {
-          mine = AbsorbMinimal(mine, parallel);
-        }
+        mine = AbsorbMinimal(mine, parallel);
         break;
       }
       case GateType::kAnd: {
@@ -208,10 +206,7 @@ Result<MinimalRgResult> EnumerateMinimalRiskGroups(const FaultGraph& graph,
             CutSetArena next(stride);
             INDAAS_RETURN_IF_ERROR(CombineAndBitset(mine, cut_sets[child], options, &next,
                                                     &result.size_bounded));
-            if (options.inline_absorption) {
-              next = AbsorbMinimal(next, parallel);
-            }
-            mine = std::move(next);
+            mine = AbsorbMinimal(next, parallel);
           }
           if (mine.empty()) {
             // All products exceeded the size bound: no cut sets within bound.
@@ -238,10 +233,7 @@ Result<MinimalRgResult> EnumerateMinimalRiskGroups(const FaultGraph& graph,
             CutSetArena next(stride);
             INDAAS_RETURN_IF_ERROR(CombineAndBitset(product, cut_sets[node.children[pick[i]]],
                                                     options, &next, &result.size_bounded));
-            if (options.inline_absorption) {
-              next = AbsorbMinimal(next, parallel);
-            }
-            product = std::move(next);
+            product = AbsorbMinimal(next, parallel);
           }
           acc.AppendAll(product);
           // Next k-combination.
@@ -257,7 +249,7 @@ Result<MinimalRgResult> EnumerateMinimalRiskGroups(const FaultGraph& graph,
             pick[i] = pick[i - 1] + 1;
           }
         }
-        mine = options.inline_absorption ? AbsorbMinimal(acc, parallel) : std::move(acc);
+        mine = AbsorbMinimal(acc, parallel);
         break;
       }
     }
@@ -280,11 +272,9 @@ Result<MinimalRgResult> EnumerateMinimalRiskGroups(const FaultGraph& graph,
       }
     }
   }
-  // Under inline absorption every gate already left its rows minimal.
-  CutSetArena& top = cut_sets[graph.top_event()];
-  const CutSetArena minimal =
-      options.inline_absorption ? std::move(top) : AbsorbMinimal(top, parallel);
-  result.groups = SortedGroups(minimal, [&](size_t bit) { return index.IdFor(bit); });
+  // Every gate already left its rows minimal.
+  result.groups =
+      SortedGroups(cut_sets[graph.top_event()], [&](size_t bit) { return index.IdFor(bit); });
   return result;
 }
 

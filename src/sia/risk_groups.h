@@ -5,7 +5,8 @@
 // member is removed. Two pluggable algorithms:
 //   * ComputeMinimalRiskGroups — exact bottom-up cut-set computation adapted
 //     from classic fault tree analysis; precise but NP-hard (exponential in
-//     the worst case). Supports size-bounded analysis and inline absorption.
+//     the worst case). Supports size-bounded analysis; every gate absorbs
+//     (drops supersets from) its cut sets as soon as it combines them.
 //     Cut sets are bitset rows over the basic events (src/sia/cutset.h);
 //     large stages shard on the shared compute pool (DESIGN.md §5).
 //   * SampleRiskGroups (sampling.h) — linear-time randomized detection.
@@ -45,9 +46,6 @@ struct MinimalRgOptions {
   // computation fails with kResourceExhausted rather than consuming all
   // memory. SIZE_MAX means unbounded.
   size_t max_cut_sets_per_node = SIZE_MAX;
-  // Apply absorption (subset pruning) after every combination step instead of
-  // only at the end. Usually a large win; ablatable (DESIGN.md §4).
-  bool inline_absorption = true;
   // 1 = fully sequential. Any other value lets the engine shard AND
   // products and absorption levels on the shared ComputePool()
   // (util/thread_pool.h), but only for stages past a work threshold; small

@@ -10,6 +10,7 @@
 #include "src/sia/ranking.h"
 #include "src/sia/risk_groups.h"
 #include "src/util/rng.h"
+#include "tests/prob_oracle.h"
 
 namespace indaas {
 namespace {
@@ -80,30 +81,6 @@ TEST(BddTest, WorkedExampleExact) {
   EXPECT_NEAR(*prob, 0.224, 1e-15);
 }
 
-// Brute-force Pr(top): sum over all basic-event assignments.
-double BruteForceTopProb(const FaultGraph& graph, double default_prob) {
-  const auto& basics = graph.BasicEvents();
-  std::vector<double> probs;
-  for (NodeId id : basics) {
-    double p = graph.node(id).failure_prob;
-    probs.push_back(p == kUnknownProb ? default_prob : p);
-  }
-  std::vector<uint8_t> state(graph.NodeCount(), 0);
-  double total = 0.0;
-  for (uint32_t mask = 0; mask < (1u << basics.size()); ++mask) {
-    double weight = 1.0;
-    for (size_t i = 0; i < basics.size(); ++i) {
-      bool failed = ((mask >> i) & 1) != 0;
-      state[basics[i]] = failed ? 1 : 0;
-      weight *= failed ? probs[i] : 1.0 - probs[i];
-    }
-    if (graph.Evaluate(state)) {
-      total += weight;
-    }
-  }
-  return total;
-}
-
 // Random graph generator shared with property_test (duplicated locally to
 // keep the test binaries independent).
 FaultGraph RandomGraph(Rng& rng, size_t num_basic, size_t num_gates) {
@@ -156,19 +133,24 @@ TEST_P(BddVsBruteForceTest, ExactProbabilityMatches) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BddVsBruteForceTest, ::testing::Range<uint64_t>(1, 9));
 
-TEST(BddTest, AgreesWithInclusionExclusion) {
+// One compiled BDD read with a basic event's probability set to 1 or 0
+// gives Pr(T | event failed / working): what component importance reads.
+TEST(BddTest, ConditionedProbabilityMatchesBruteForce) {
   Rng rng(424242);
   for (int trial = 0; trial < 10; ++trial) {
     FaultGraph graph = RandomGraph(rng, 4 + rng.NextBelow(5), 2 + rng.NextBelow(4));
-    auto groups = ComputeMinimalRiskGroups(graph);
-    ASSERT_TRUE(groups.ok());
-    if (groups->groups.empty() || groups->groups.size() > 16) {
-      continue;
+    auto compiled = CompileFaultGraph(graph, 0.1);
+    ASSERT_TRUE(compiled.ok());
+    for (size_t var = 0; var < compiled->variable_order.size(); ++var) {
+      const NodeId id = compiled->variable_order[var];
+      for (double value : {1.0, 0.0}) {
+        std::vector<double> probs = compiled->probs;
+        probs[var] = value;
+        EXPECT_NEAR(compiled->manager->Probability(compiled->root, probs),
+                    BruteForceTopProb(graph, 0.1, id, value), 1e-12)
+            << "trial " << trial << " event " << id << " at " << value;
+      }
     }
-    double ie = TopEventProbabilityExact(graph, groups->groups, 0.1);
-    auto bdd = TopEventProbabilityBdd(graph, 0.1);
-    ASSERT_TRUE(bdd.ok());
-    EXPECT_NEAR(*bdd, ie, 1e-10) << "trial " << trial;
   }
 }
 
@@ -193,8 +175,10 @@ TEST(BddTest, ScalesWhereInclusionExclusionCannot) {
   auto prob = TopEventProbabilityBdd(*graph, 0.05);
   ASSERT_TRUE(prob.ok());
   // Cross-check against Monte Carlo.
-  Rng rng(7);
-  double mc = TopEventProbabilityMonteCarlo(*graph, 0.05, 400000, rng);
+  TopEventOptions options;
+  options.default_prob = 0.05;
+  double mc = TopEventProbabilityMonteCarlo(*graph, TopEventEngine(*graph, options).base_probs(),
+                                            400000, /*seed=*/7, /*threads=*/1);
   EXPECT_NEAR(*prob, mc, 0.01);
 }
 

@@ -181,9 +181,9 @@ TEST(ImportanceTest, MonteCarloPathAgreesWithExact) {
   FaultGraph graph = BuildSample();
   auto groups = ComputeMinimalRiskGroups(graph);
   ASSERT_TRUE(groups.ok());
-  ImportanceOptions exact;
-  ImportanceOptions approx;
-  approx.max_exact_terms = 0;  // force Monte Carlo
+  TopEventOptions exact;
+  TopEventOptions approx;
+  approx.bdd_node_budget = 2;  // room for the two terminals only: force Monte Carlo
   approx.monte_carlo_rounds = 400000;
   auto exact_ranked = RankComponentImportance(graph, groups->groups, exact);
   auto approx_ranked = RankComponentImportance(graph, groups->groups, approx);

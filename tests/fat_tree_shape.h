@@ -1,6 +1,7 @@
 // The fat-tree deployments the remote SIA benchmark audits, as a test
-// generator: every server of a k-port fat tree with up to three ECMP routes
-// to the Internet, a CPU model and a libc version drawn from three each, and
+// generator: every server of a k-port fat tree with up to
+// `routes_per_server` ECMP routes to the Internet (three by default, as the
+// benchmark uses), a CPU model and a libc version drawn from three each, and
 // deployments of three servers in distinct pods. One Rng drives both, so a
 // seed names one DepDB and one sequence of deployments.
 
@@ -19,7 +20,7 @@
 
 namespace indaas {
 
-inline Result<DepDb> FatTreeShapeDepDb(uint32_t ports, Rng& rng) {
+inline Result<DepDb> FatTreeShapeDepDb(uint32_t ports, Rng& rng, size_t routes_per_server = 3) {
   INDAAS_ASSIGN_OR_RETURN(DataCenterTopology topo, BuildFatTree(ports));
   INDAAS_ASSIGN_OR_RETURN(DeviceId internet, topo.FindDevice("Internet"));
   const std::vector<std::string> cpus = {"XeonE5-2650", "XeonE5-2680", "EPYC-7302"};
@@ -29,7 +30,7 @@ inline Result<DepDb> FatTreeShapeDepDb(uint32_t ports, Rng& rng) {
     const std::string& name = topo.device(server).name;
     std::vector<NetworkDependency> routes = topo.NetworkDependencies(server, internet, 64);
     rng.Shuffle(routes);
-    routes.resize(std::min<size_t>(routes.size(), 3));
+    routes.resize(std::min(routes.size(), routes_per_server));
     for (const NetworkDependency& route : routes) {
       db.Add(route);
     }

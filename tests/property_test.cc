@@ -23,12 +23,14 @@
 #include "src/pia/psop.h"
 #include "src/sia/builder.h"
 #include "src/sia/cutset.h"
+#include "src/sia/importance.h"
 #include "src/sia/ranking.h"
 #include "src/sia/risk_groups.h"
 #include "src/sia/sampling.h"
 #include "src/util/rng.h"
 #include "src/util/strings.h"
 #include "tests/fat_tree_shape.h"
+#include "tests/prob_oracle.h"
 
 namespace indaas {
 namespace {
@@ -118,14 +120,14 @@ std::set<RiskGroup> BruteForceMinimalGroups(const FaultGraph& graph) {
 
 // --- Minimal RG algorithm vs brute force, swept over seeds and options ---
 //
-// For every combination of inline absorption, size bound and thread count
+// For every combination of size bound and thread count
 // the engine must emit exactly the brute-force minimal groups, in the
 // canonical order (size, then lexicographic). A bounded run must return
 // exactly the minimal groups within the bound, and may say it is complete
 // (size_bounded == false) only when that is the whole truth. Unbounded
 // results must also pass the BDD oracle.
 
-using RgOptionsParam = std::tuple<uint64_t, bool, size_t, size_t>;
+using RgOptionsParam = std::tuple<uint64_t, size_t, size_t>;
 
 class MinimalRgVsBruteForceTest : public ::testing::TestWithParam<RgOptionsParam> {};
 
@@ -139,9 +141,8 @@ std::vector<RiskGroup> CanonicalOrder(const std::set<RiskGroup>& groups) {
 }
 
 TEST_P(MinimalRgVsBruteForceTest, ExactMatch) {
-  const auto [seed, inline_absorption, max_rg_size, threads] = GetParam();
+  const auto [seed, max_rg_size, threads] = GetParam();
   MinimalRgOptions options;
-  options.inline_absorption = inline_absorption;
   options.max_rg_size = max_rg_size;
   options.threads = threads;
   Rng rng(seed);
@@ -174,7 +175,7 @@ TEST_P(MinimalRgVsBruteForceTest, ExactMatch) {
 
 INSTANTIATE_TEST_SUITE_P(
     SeedsAndOptions, MinimalRgVsBruteForceTest,
-    ::testing::Combine(::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55, 89), ::testing::Bool(),
+    ::testing::Combine(::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55, 89),
                        ::testing::Values(SIZE_MAX, size_t{3}),
                        ::testing::Values(size_t{1}, size_t{4})));
 
@@ -396,19 +397,25 @@ TEST(AbsorbOracleTest, LargeArenasTakeThePoolAndStillMatch) {
 // The k=16 fat-tree deployments the remote SIA benchmark audits: servers in
 // distinct pods, three ECMP routes each, plus shared hardware models and
 // package versions. ComputeMinimalRiskGroups must give the same bytes
-// sequentially, on the shared pool and with absorption left to the end, for
-// the AND gate and for 2-of-3, and the groups must pass the BDD oracle.
+// sequentially and on the shared pool, for the AND gate and for 2-of-3, and
+// the groups must pass the BDD oracle. At three routes no stage is large
+// enough for the pool, so two deployments with kWideRoutes routes per
+// server follow; their AND products cross the pool's threshold.
 TEST(RgOracleTest, FatTreeGroupsIdenticalSequentialAndOnSharedPool) {
   constexpr uint32_t kPorts = 16;
+  constexpr size_t kWideRoutes = 5;
   Rng rng(16);
   auto db = FatTreeShapeDepDb(kPorts, rng);
   ASSERT_TRUE(db.ok()) << db.status().ToString();
+  Rng wide_rng(17);
+  auto wide_db = FatTreeShapeDepDb(kPorts, wide_rng, kWideRoutes);
+  ASSERT_TRUE(wide_db.ok()) << wide_db.status().ToString();
   const uint64_t tasks_before = ComputePoolTasks();
-  for (int trial = 0; trial < 8; ++trial) {
+  for (int trial = 0; trial < 10; ++trial) {
     std::vector<std::string> servers = FatTreeShapeDeployment(kPorts, trial, rng);
     BuildOptions build;
     build.required_servers = trial % 4 == 0 ? 0 : 2;
-    auto graph = BuildDeploymentFaultGraph(*db, servers, build);
+    auto graph = BuildDeploymentFaultGraph(trial < 8 ? *db : *wide_db, servers, build);
     ASSERT_TRUE(graph.ok()) << graph.status().ToString();
     MinimalRgOptions sequential;
     sequential.threads = 1;
@@ -419,15 +426,8 @@ TEST(RgOracleTest, FatTreeGroupsIdenticalSequentialAndOnSharedPool) {
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     EXPECT_EQ(got->groups, want->groups) << "trial " << trial;
     EXPECT_EQ(got->size_bounded, want->size_bounded) << "trial " << trial;
-    MinimalRgOptions absorb_at_end;
-    absorb_at_end.inline_absorption = false;
-    auto late = ComputeMinimalRiskGroups(*graph, absorb_at_end);
-    ASSERT_TRUE(late.ok()) << late.status().ToString();
-    EXPECT_EQ(late->groups, want->groups) << "trial " << trial;
-    for (const MinimalRgResult* result : {&*want, &*late}) {
-      auto oracle = CheckMinimalRiskGroups(*graph, result->groups);
-      EXPECT_TRUE(oracle.ok()) << "trial " << trial << ": " << oracle.status().ToString();
-    }
+    auto oracle = CheckMinimalRiskGroups(*graph, want->groups);
+    EXPECT_TRUE(oracle.ok()) << "trial " << trial << ": " << oracle.status().ToString();
   }
   EXPECT_GT(ComputePoolTasks(), tasks_before) << "no fat-tree stage reached the pool";
 }
@@ -460,24 +460,97 @@ TEST_P(SamplingPropertyTest, ShrunkGroupsAreMinimalAndConverge) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SamplingPropertyTest, ::testing::Range<uint64_t>(1, 11));
 
-// --- Inclusion-exclusion vs Monte Carlo on random weighted graphs ---
+// --- Top-event probability engine vs brute force on random weighted graphs ---
 
 class ProbabilityPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+// The graph's own failure probabilities, default_prob filling the gaps.
+std::vector<double> BaseProbs(const FaultGraph& graph, double default_prob) {
+  TopEventOptions options;
+  options.default_prob = default_prob;
+  return TopEventEngine(graph, options).base_probs();
+}
+
+uint64_t MonteCarloRounds() {
+  return obs::MetricsRegistry::Global().GetCounter("sia.rank.mc_rounds")->Value();
+}
 
 TEST_P(ProbabilityPropertyTest, ExactMatchesMonteCarlo) {
   Rng rng(GetParam() * 104729);
   FaultGraph graph = RandomFaultGraph(rng, 3 + rng.NextBelow(5), 2 + rng.NextBelow(4));
-  auto groups = ComputeMinimalRiskGroups(graph);
-  ASSERT_TRUE(groups.ok());
-  if (groups->groups.empty() || groups->groups.size() > 16) {
-    GTEST_SKIP() << "degenerate graph";
-  }
-  double exact = TopEventProbabilityExact(graph, groups->groups, 0.1);
-  Rng mc_rng(GetParam());
-  double mc = TopEventProbabilityMonteCarlo(graph, 0.1, 300000, mc_rng);
+  double exact = BruteForceTopProb(graph, 0.1);
+  double mc = TopEventProbabilityMonteCarlo(graph, BaseProbs(graph, 0.1), 300000,
+                                            /*seed=*/GetParam(), /*threads=*/1);
   EXPECT_NEAR(exact, mc, 0.01) << "seed " << GetParam();
   EXPECT_GE(exact, -1e-12);
   EXPECT_LE(exact, 1.0 + 1e-12);
+}
+
+// RankByImportance's Pr(T) and scores, and RankComponentImportance's
+// Birnbaum and criticality, all read off the BDD, equal brute force.
+TEST_P(ProbabilityPropertyTest, RankingAndImportanceMatchBruteForce) {
+  Rng rng(GetParam() * 6151);
+  for (int trial = 0; trial < 10; ++trial) {
+    FaultGraph graph = RandomFaultGraph(rng, 3 + rng.NextBelow(10), 2 + rng.NextBelow(7));
+    const std::string where =
+        StrFormat("seed %llu trial %d", static_cast<unsigned long long>(GetParam()), trial);
+    auto groups = ComputeMinimalRiskGroups(graph);
+    ASSERT_TRUE(groups.ok()) << where;
+    const double pr_top = BruteForceTopProb(graph, 0.1);
+    const uint64_t mc_before = MonteCarloRounds();
+    auto ranking = RankByImportance(graph, groups->groups);
+    ASSERT_TRUE(ranking.ok()) << where << ": " << ranking.status().ToString();
+    EXPECT_NEAR(ranking->top_event_prob, pr_top, 1e-12) << where;
+    ASSERT_EQ(ranking->ranked.size(), groups->groups.size()) << where;
+    for (const RankedRiskGroup& entry : ranking->ranked) {
+      EXPECT_NEAR(entry.score, GroupProbability(graph, entry.group, 0.1) / pr_top, 1e-9)
+          << where;
+    }
+    auto importance = RankComponentImportance(graph, groups->groups);
+    ASSERT_TRUE(importance.ok()) << where << ": " << importance.status().ToString();
+    for (const ComponentImportance& entry : *importance) {
+      const double birnbaum = BruteForceTopProb(graph, 0.1, entry.id, 1.0) -
+                              BruteForceTopProb(graph, 0.1, entry.id, 0.0);
+      EXPECT_NEAR(entry.birnbaum, birnbaum, 1e-12) << where << " " << entry.name;
+      EXPECT_NEAR(entry.criticality, birnbaum * graph.node(entry.id).failure_prob / pr_top,
+                  1e-12)
+          << where << " " << entry.name;
+    }
+    EXPECT_EQ(MonteCarloRounds(), mc_before) << where << ": the BDD fits, nothing samples";
+  }
+}
+
+// With a node budget too small for any BDD, both run the Monte-Carlo
+// fallback: every Pr(T) they read is sampled, and lands near brute force.
+TEST_P(ProbabilityPropertyTest, MonteCarloFallbackLandsNearBruteForce) {
+  Rng rng(GetParam() * 104729);
+  FaultGraph graph = RandomFaultGraph(rng, 3 + rng.NextBelow(5), 2 + rng.NextBelow(4));
+  auto groups = ComputeMinimalRiskGroups(graph);
+  ASSERT_TRUE(groups.ok());
+  TopEventOptions options;
+  options.default_prob = 0.1;
+  options.bdd_node_budget = 2;  // room for the two terminals only
+  options.monte_carlo_rounds = 40000;
+  options.seed = GetParam();
+  // Five standard deviations of a sampled probability, at its worst (0.5).
+  // Birnbaum is sampled as one coupled difference: its two conditioned runs
+  // share a seed, so each round's difference is itself a 0/1 draw.
+  const double tolerance = 5 * 0.5 / std::sqrt(static_cast<double>(options.monte_carlo_rounds));
+  const double pr_top = BruteForceTopProb(graph, 0.1);
+  const uint64_t before = MonteCarloRounds();
+  auto ranking = RankByImportance(graph, groups->groups, options);
+  ASSERT_TRUE(ranking.ok()) << ranking.status().ToString();
+  auto importance = RankComponentImportance(graph, groups->groups, options);
+  ASSERT_TRUE(importance.ok()) << importance.status().ToString();
+  EXPECT_NEAR(ranking->top_event_prob, pr_top, tolerance) << "seed " << GetParam();
+  for (const ComponentImportance& entry : *importance) {
+    const double birnbaum = BruteForceTopProb(graph, 0.1, entry.id, 1.0) -
+                            BruteForceTopProb(graph, 0.1, entry.id, 0.0);
+    EXPECT_NEAR(entry.birnbaum, birnbaum, tolerance) << "seed " << GetParam() << " " << entry.name;
+  }
+  // One sampled Pr(T) for the ranking; for importance, Pr(T) and both
+  // conditioned probabilities of every component.
+  EXPECT_EQ(MonteCarloRounds() - before, options.monte_carlo_rounds * (2 + 2 * importance->size()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ProbabilityPropertyTest, ::testing::Range<uint64_t>(1, 9));

@@ -14,6 +14,7 @@
 #include "src/sia/risk_groups.h"
 #include "src/sia/sampling.h"
 #include "src/util/rng.h"
+#include "tests/prob_oracle.h"
 
 namespace indaas {
 namespace {
@@ -174,19 +175,6 @@ TEST(MinimalRgTest, BudgetExceededFailsCleanly) {
 TEST(MinimalRgTest, RequiresValidatedGraph) {
   FaultGraph graph;
   EXPECT_FALSE(ComputeMinimalRiskGroups(graph).ok());
-}
-
-TEST(MinimalRgTest, AbsorptionAblationSameResult) {
-  // Inline absorption is a performance knob; results must be identical.
-  FaultGraph graph = BuildSharedTorGraph();
-  MinimalRgOptions inline_on;
-  MinimalRgOptions inline_off;
-  inline_off.inline_absorption = false;
-  auto on = ComputeMinimalRiskGroups(graph, inline_on);
-  auto off = ComputeMinimalRiskGroups(graph, inline_off);
-  ASSERT_TRUE(on.ok());
-  ASSERT_TRUE(off.ok());
-  EXPECT_EQ(Names(graph, on->groups), Names(graph, off->groups));
 }
 
 TEST(MinimalRgTest, BitsetEngineWideGraphCrossesWordBoundary) {
@@ -357,56 +345,34 @@ TEST(RankingTest, PaperWorkedExample) {
   EXPECT_NEAR(ranking->ranked[1].score, 0.1339, 1e-4);
 }
 
-TEST(RankingTest, MonteCarloAgreesWithExact) {
-  FaultGraph graph = BuildFig4a();
-  auto groups = ComputeMinimalRiskGroups(graph);
-  ASSERT_TRUE(groups.ok());
-  double exact = TopEventProbabilityExact(graph, groups->groups, 0.01);
-  Rng rng(123);
-  double mc = TopEventProbabilityMonteCarlo(graph, 0.01, 400000, rng);
-  EXPECT_NEAR(mc, exact, 0.005);
+// The graph's own failure probabilities, default_prob filling the gaps.
+std::vector<double> BaseProbs(const FaultGraph& graph, double default_prob) {
+  TopEventOptions options;
+  options.default_prob = default_prob;
+  return TopEventEngine(graph, options).base_probs();
 }
 
-TEST(RankingTest, ParallelMonteCarloSingleThreadMatchesSerial) {
+TEST(RankingTest, MonteCarloAgreesWithExact) {
   FaultGraph graph = BuildFig4a();
-  Rng rng(77);
-  double serial = TopEventProbabilityMonteCarlo(graph, 0.01, 50000, rng);
-  double parallel = TopEventProbabilityMonteCarlo(graph, 0.01, 50000, /*seed=*/77, /*threads=*/1);
-  EXPECT_DOUBLE_EQ(serial, parallel);
+  double exact = BruteForceTopProb(graph, 0.01);
+  double mc = TopEventProbabilityMonteCarlo(graph, BaseProbs(graph, 0.01), 400000, /*seed=*/123,
+                                            /*threads=*/1);
+  EXPECT_NEAR(mc, exact, 0.005);
 }
 
 TEST(RankingTest, ParallelMonteCarloIsDeterministicAndAccurate) {
   FaultGraph graph = BuildFig4a();
-  auto groups = ComputeMinimalRiskGroups(graph);
-  ASSERT_TRUE(groups.ok());
-  double exact = TopEventProbabilityExact(graph, groups->groups, 0.01);
-  double first = TopEventProbabilityMonteCarlo(graph, 0.01, 400000, /*seed=*/9, /*threads=*/4);
-  double second = TopEventProbabilityMonteCarlo(graph, 0.01, 400000, /*seed=*/9, /*threads=*/4);
+  const std::vector<double> probs = BaseProbs(graph, 0.01);
+  double exact = BruteForceTopProb(graph, 0.01);
+  double first = TopEventProbabilityMonteCarlo(graph, probs, 400000, /*seed=*/9, /*threads=*/4);
+  double second = TopEventProbabilityMonteCarlo(graph, probs, 400000, /*seed=*/9, /*threads=*/4);
   EXPECT_DOUBLE_EQ(first, second);  // fixed seed + thread count => fixed result
   EXPECT_NEAR(first, exact, 0.005);
 }
 
-TEST(RankingTest, ExactRefusesSixtyFourGroups) {
-  // 64 single-event groups would shift 1ULL << 64 — the guard returns NaN
-  // instead of undefined behavior.
-  FaultGraph graph;
-  std::vector<NodeId> basics;
-  for (int i = 0; i < 64; ++i) {
-    basics.push_back(graph.AddBasicEvent("b" + std::to_string(i), 0.01));
-  }
-  NodeId top = graph.AddGate("top", GateType::kOr, basics);
-  graph.SetTopEvent(top);
-  ASSERT_TRUE(graph.Validate().ok());
-  std::vector<RiskGroup> groups;
-  for (NodeId id : basics) {
-    groups.push_back({id});
-  }
-  EXPECT_TRUE(std::isnan(TopEventProbabilityExact(graph, groups, 0.01)));
-}
-
-TEST(RankingTest, ImportanceClampsExactTermsPastSixtyFour) {
-  // 70 minimal RGs with max_exact_terms well past 64: the clamp must route
-  // Pr(T) through the BDD instead of an out-of-range shift.
+TEST(RankingTest, SeventyGroupsMatchTheClosedForm) {
+  // 70 single-event minimal RGs: far past what an expansion over the groups
+  // could reach (2^70 terms), but Pr(T) is exact from the BDD.
   FaultGraph graph;
   std::vector<NodeId> basics;
   for (int i = 0; i < 70; ++i) {
@@ -418,9 +384,7 @@ TEST(RankingTest, ImportanceClampsExactTermsPastSixtyFour) {
   auto groups = ComputeMinimalRiskGroups(graph);
   ASSERT_TRUE(groups.ok());
   ASSERT_EQ(groups->groups.size(), 70u);
-  ProbabilityRankingOptions options;
-  options.max_exact_terms = 1000;
-  auto ranking = RankByImportance(graph, groups->groups, options);
+  auto ranking = RankByImportance(graph, groups->groups);
   ASSERT_TRUE(ranking.ok());
   // Pr(OR of 70 independent p=0.001 events) = 1 - 0.999^70.
   EXPECT_NEAR(ranking->top_event_prob, 1.0 - std::pow(0.999, 70), 1e-9);
